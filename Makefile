@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race cover fuzz-smoke chaos-smoke serve-smoke bench bench-suite bench-json bench-incremental bench-scenario bench-diff scenario-golden loadtest loadtest-smoke ci
+.PHONY: all build vet lint lint-json test race cover fuzz-smoke chaos-smoke serve-smoke bench bench-test bench-suite bench-json bench-incremental bench-scenario bench-diff scenario-golden loadtest loadtest-smoke ci
 
 # Aggregate statement-coverage floor for the packages the fault layer,
 # the mechanism test harness, the scenario engine, and the replication
@@ -81,6 +81,14 @@ serve-smoke:
 # RankSession, Scorer, mechanism benches).
 bench:
 	$(GO) test -bench . -benchmem ./internal/...
+
+# The benchmark's own checks. bench/ is a separate Go module, so the root
+# `go test ./...` never runs them: vet the benchmark and run its tests,
+# including TestSmoke, which builds wsxd and wsxsim from this tree and
+# drives every workload briefly (about 10 s).
+bench-test:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -count=1 ./...
 
 # Whole-suite wall-clock: sequential vs parallel (speedup = seq/parallel).
 bench-suite:

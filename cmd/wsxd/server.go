@@ -46,6 +46,7 @@ type server struct {
 	category string
 	mechName string
 	seed     int64
+	logf     func(format string, args ...any) // daemon log lines (tests capture them)
 
 	// mechMu guards swaps of the mechanism pointer: a follower reseed
 	// (snapshot bootstrap) rebuilds the mechanism from the replicated
@@ -168,6 +169,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		category: cfg.Category,
 		mechName: cfg.Mech,
 		seed:     cfg.Seed,
+		logf:     func(format string, args ...any) { fmt.Printf("wsxd: "+format+"\n", args...) },
 		shedder: resilience.NewShedder(resilience.ShedderConfig{
 			Rate: cfg.ShedRate, Burst: cfg.ShedBurst,
 		}, cfg.Clock),
@@ -181,6 +183,12 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	s.session = s.engine.NewRankSession(s.catalog)
 	s.rankSnap.Store(s.computeRankSnapshot("")) // never nil: /rank always has something to serve
+	// A write that crosses the compaction threshold is answered on its
+	// own result (its record is durable and applied); a failed
+	// compaction is logged here and retried at the next threshold.
+	s.store.OnCompactionError(func(err error) {
+		s.logf("%v (the write was accepted; retrying at the next threshold)", err)
+	})
 	s.source = &replica.Source{Store: s.store, Drain: s.drainStream}
 	if cfg.Follow != "" {
 		s.role.Store(roleFollower)
@@ -192,7 +200,7 @@ func newServer(cfg serverConfig) (*server, error) {
 			Seed:     cfg.Seed,
 			OnApply:  s.onReplicated,
 			OnReseed: s.reseedMechanism,
-			Logf:     func(format string, args ...any) { fmt.Printf("wsxd: "+format+"\n", args...) },
+			Logf:     s.logf,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("wsxd: follower: %w", err)

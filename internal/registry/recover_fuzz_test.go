@@ -1,8 +1,11 @@
 package registry
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -12,7 +15,9 @@ import (
 // the store holds — corruption may cost records (torn tails are
 // truncated, a bad snapshot falls back to WAL-only replay), but the
 // count is never overstated and a mangled image never produces a wedged
-// or lying store.
+// or lying store. Every recovered store then compacts, closes and
+// reopens: whichever path the compaction takes, the reopened store holds
+// exactly the records it had, from a clean snapshot and WAL.
 func FuzzWALRecover(f *testing.F) {
 	// One canonical healthy image: records in the snapshot, records in
 	// the WAL, an epoch promotion so w2 frames and a mark history are on
@@ -55,6 +60,14 @@ func FuzzWALRecover(f *testing.F) {
 	f.Add(wal, snap[:len(snap)-7], epoch)
 	f.Add([]byte{}, snap, []byte("e1 borked"))
 	f.Add(append([]byte("w1 1 00000000 {}\n"), wal...), snap, epoch)
+	// The legacy unchecksummed snapshot header over the same body.
+	header, body, _ := bytes.Cut(snap, []byte{'\n'})
+	fields := strings.Fields(string(header))
+	f.Add(wal, append([]byte(fmt.Sprintf("s1 %s %s\n", fields[1], fields[2])), body...), epoch)
+	// A crash between snapshot rename and WAL truncation: the WAL still
+	// starts with frames the snapshot covers.
+	frames := bytes.SplitAfter(body, []byte{'\n'})
+	f.Add(append(bytes.Join(frames[len(frames)-4:], nil), wal...), snap, epoch)
 
 	f.Fuzz(func(t *testing.T, wal, snap, epoch []byte) {
 		dir := t.TempDir()
@@ -73,11 +86,6 @@ func FuzzWALRecover(f *testing.F) {
 			// is not.
 			return
 		}
-		defer func() {
-			if err := st.Close(); err != nil {
-				t.Fatalf("close recovered store: %v", err)
-			}
-		}()
 		if rec.Records() != st.Len() {
 			t.Fatalf("recovery overstates: reported %d records, store holds %d (%s)",
 				rec.Records(), st.Len(), rec)
@@ -89,6 +97,24 @@ func FuzzWALRecover(f *testing.F) {
 		// truncated to a clean frame boundary.
 		if err := st.Submit(richFeedback(999)); err != nil {
 			t.Fatalf("recovered store rejects writes: %v", err)
+		}
+		if err := st.Snapshot(); err != nil {
+			t.Fatalf("recovered store fails to compact: %v", err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("close recovered store: %v", err)
+		}
+		re, rec, err := Open(dir, WALOptions{})
+		if err != nil {
+			t.Fatalf("reopen after compaction: %v", err)
+		}
+		defer func() {
+			if err := re.Close(); err != nil {
+				t.Fatalf("close reopened store: %v", err)
+			}
+		}()
+		if re.Len() != st.Len() || rec.SnapshotCorrupt || rec.Torn {
+			t.Fatalf("compacted store of %d records reopened as %d (%s)", st.Len(), re.Len(), rec)
 		}
 	})
 }

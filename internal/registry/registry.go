@@ -55,6 +55,9 @@ type Store struct {
 	state  sync.RWMutex
 	wal    *walWriter // guarded by state; non-nil on stores built by Open
 	closed bool       // guarded by state; Close on a durable store sets it
+	snap   snapFacts  // guarded by state; the on-disk log compaction extends (compact.go)
+
+	compactErr atomic.Pointer[func(error)] // OnCompactionError's handler
 
 	// Replication state (see replication.go). epoch is the current fencing
 	// epoch; marks is the durable promotion history behind it. commitCh is
@@ -162,12 +165,9 @@ func (s *Store) Submit(fb core.Feedback) error {
 	s.state.RUnlock()
 	s.notifyCommit()
 	if compact {
-		if err := s.compact(); err != nil {
-			// The record itself is durable in the WAL; a failed compaction
-			// only means the log stays long. Surface it without undoing
-			// the accepted submit.
-			return fmt.Errorf("registry: auto-compaction: %w", err)
-		}
+		// The record is durable and applied whatever the compaction
+		// does; a failure only means the log stays long for now.
+		s.compact()
 	}
 	return nil
 }
@@ -228,9 +228,7 @@ func (s *Store) SubmitBatch(fbs []core.Feedback) error {
 	s.state.RUnlock()
 	s.notifyCommit()
 	if compact {
-		if err := s.compact(); err != nil {
-			return fmt.Errorf("registry: auto-compaction: %w", err)
-		}
+		s.compact()
 	}
 	return nil
 }
@@ -347,10 +345,12 @@ func (s *Store) FacetSeries(id core.ServiceID, facet core.Facet) []float64 {
 // counter, so cost accounting spans experiment phases. Reset does not
 // touch durable state: it is an experiment-harness affordance for
 // in-memory stores; a WAL-backed store that must be cleared durably
-// should Reset and then Snapshot.
+// should Reset and then Snapshot (which, with memory and files now
+// apart, re-encodes the snapshot from memory).
 func (s *Store) Reset() {
 	s.state.Lock()
 	defer s.state.Unlock()
+	s.snap = snapFacts{}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()

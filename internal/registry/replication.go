@@ -451,9 +451,7 @@ func (s *Store) ApplyReplicated(frames []Frame) ([]core.Feedback, error) {
 	s.state.RUnlock()
 	s.notifyCommit()
 	if compact {
-		if err := s.compact(); err != nil {
-			return fbs, fmt.Errorf("registry: auto-compaction: %w", err)
-		}
+		s.compact()
 	}
 	return fbs, nil
 }
@@ -483,7 +481,7 @@ func (s *Store) WriteSnapshotTo(w io.Writer) (records int, lastSeq uint64, err e
 		log = nil
 		last = 0
 	}
-	doc, err := buildSnapshotDoc(log, last, s.Marks())
+	doc, _, err := buildSnapshotDoc(log, last, s.Marks())
 	if err != nil {
 		return 0, 0, fmt.Errorf("registry: snapshot transfer: %w", err)
 	}
@@ -500,7 +498,7 @@ func (s *Store) WriteSnapshotTo(w io.Writer) (records int, lastSeq uint64, err e
 // (atomically) and the WAL is truncated, so a crash right after the seed
 // recovers to the same state. The store must be empty (no records, seq 0).
 func (s *Store) SeedFromSnapshot(data []byte) (int, error) {
-	frames, lastSeq, corrupt, err := parseSnapshotDoc(data, "snapshot transfer")
+	frames, facts, corrupt, err := parseSnapshotDoc(data, "snapshot transfer")
 	if err == nil && corrupt != nil {
 		err = corrupt
 	}
@@ -517,6 +515,7 @@ func (s *Store) SeedFromSnapshot(data []byte) (int, error) {
 		return 0, errors.New("registry: seed requires an empty store (ResetReplica first)")
 	}
 	if s.wal != nil {
+		s.snap = snapFacts{}
 		if err := writeFileAtomic(s.wal.dir, snapshotName, data); err != nil {
 			s.state.Unlock()
 			return 0, fmt.Errorf("registry: seed: %w", err)
@@ -526,6 +525,11 @@ func (s *Store) SeedFromSnapshot(data []byte) (int, error) {
 			return 0, fmt.Errorf("registry: seed: truncate wal: %w", err)
 		}
 		s.wal.resetForReseed()
+		// The document is the local snapshot now; it extends byte for
+		// byte only if its frames carry the epochs the installed marks
+		// give them.
+		facts.valid = facts.valid && denseFrames(frames, facts.lastSeq, s.Marks())
+		s.snap = facts
 	}
 	for _, fr := range frames {
 		sh := &s.shards[shardFor(fr.fb.Service)]
@@ -533,8 +537,8 @@ func (s *Store) SeedFromSnapshot(data []byte) (int, error) {
 		sh.apply(fr.seq, fr.fb)
 		sh.mu.Unlock()
 	}
-	if lastSeq > 0 {
-		s.seq.Store(lastSeq)
+	if facts.lastSeq > 0 {
+		s.seq.Store(facts.lastSeq)
 	}
 	s.count.Add(int64(len(frames)))
 	s.version.Add(1)
@@ -565,6 +569,7 @@ func (s *Store) ResetReplica() error {
 	s.gen.Add(1)
 	s.version.Add(1)
 	if s.wal != nil {
+		s.snap = snapFacts{}
 		if err := s.wal.f.Truncate(0); err != nil {
 			s.state.Unlock()
 			return fmt.Errorf("registry: reset replica: truncate wal: %w", err)
@@ -576,6 +581,7 @@ func (s *Store) ResetReplica() error {
 				return fmt.Errorf("registry: reset replica: remove %s: %w", name, err)
 			}
 		}
+		s.snap = snapFacts{valid: true} // no snapshot, empty WAL
 	}
 	s.replMu.Lock()
 	s.marks = nil
@@ -597,4 +603,5 @@ func (w *walWriter) resetForReseed() {
 	w.acked = 0
 	w.unsynced = 0
 	w.frames = 0
+	w.compactAt = w.opts.SnapshotEvery
 }

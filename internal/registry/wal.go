@@ -31,6 +31,12 @@ package registry
 // snapshot as a Recovery warning, so a node with a damaged snapshot
 // still serves its WAL suffix instead of refusing to boot.
 //
+// Compaction does not re-encode the store: the log is append-only, so the
+// next snapshot body is the current body followed by the WAL's live
+// frames, and compaction copies those bytes from disk, verifying them as
+// it goes (compact.go). The file format and the crash sequence above are
+// the same whichever way the snapshot was built.
+//
 // Group commit (PR 6): concurrent Submits enqueue encoded frames under a
 // short queue lock; the first enqueuer becomes the flush leader and writes
 // everything queued — including frames that arrive while it is writing —
@@ -46,7 +52,6 @@ package registry
 // old primary wrote after losing leadership (see replication.go).
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -145,6 +150,7 @@ type walWriter struct {
 	acked         uint64    // guarded by mu: highest seq written to the file
 	unsynced      int       // guarded by mu: frames written since the last fsync
 	frames        int       // guarded by mu: frames in the file since compaction
+	compactAt     int       // guarded by mu: frames at which auto-compaction runs next
 	broken        error     // guarded by mu: sticky first write/fsync failure
 }
 
@@ -377,7 +383,7 @@ func (w *walWriter) shouldCompact() bool {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.frames >= w.opts.SnapshotEvery
+	return w.frames >= w.compactAt
 }
 
 // resetAfterCompact clears the frame accounting once the WAL file has been
@@ -387,6 +393,16 @@ func (w *walWriter) resetAfterCompact() {
 	defer w.mu.Unlock()
 	w.frames = 0
 	w.unsynced = 0
+	w.compactAt = w.opts.SnapshotEvery
+}
+
+// deferCompact moves the next auto-compaction a full SnapshotEvery frames
+// past a failed one, so a persistent fault (a full disk, an unwritable
+// temp file) costs one attempt per threshold rather than one per write.
+func (w *walWriter) deferCompact() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.compactAt = w.frames + w.opts.SnapshotEvery
 }
 
 // Open builds (or recovers) a durable Store rooted at dir. It replays
@@ -412,42 +428,47 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 	}
 	s.installMarksLocked(marks)
 
-	snapFrames, lastSeq, corrupt, err := readSnapshot(filepath.Join(dir, snapshotName))
+	snapFrames, facts, corrupt, err := readSnapshot(filepath.Join(dir, snapshotName))
 	if err != nil {
 		return nil, rec, err
 	}
 	if corrupt != nil {
 		// Fall back to WAL-only replay: the snapshot's records are gone,
 		// but the WAL suffix still restores everything since the last
-		// compaction instead of failing recovery outright.
+		// compaction instead of failing recovery outright. The next
+		// compaction replaces the rotted file with an empty body plus
+		// the WAL.
 		rec.SnapshotCorrupt = true
 		rec.SnapshotWarning = corrupt.Error()
-		lastSeq = 0
+		facts = snapFacts{valid: true}
 	} else {
 		for _, fr := range snapFrames {
 			s.applyRecovered(fr.seq, fr.fb)
 		}
 		rec.SnapshotRecords = len(snapFrames)
+		facts.valid = facts.valid && denseFrames(snapFrames, facts.lastSeq, marks)
 	}
-	if lastSeq > s.seq.Load() {
-		s.seq.Store(lastSeq)
+	if facts.lastSeq > s.seq.Load() {
+		s.seq.Store(facts.lastSeq)
 	}
 
 	walPath := filepath.Join(dir, walName)
-	if err := s.replayWAL(walPath, lastSeq, &rec); err != nil {
+	if facts.walOff, err = s.replayWAL(walPath, facts.lastSeq, &rec); err != nil {
 		return nil, rec, err
 	}
+	s.snap = facts
 
 	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, rec, fmt.Errorf("registry: open wal: %w", err)
 	}
 	w := &walWriter{
-		dir:    dir,
-		path:   walPath,
-		f:      f,
-		opts:   opts,
-		frames: rec.WALRecords + rec.SkippedRecords,
+		dir:       dir,
+		path:      walPath,
+		f:         f,
+		opts:      opts,
+		frames:    rec.WALRecords + rec.SkippedRecords,
+		compactAt: opts.SnapshotEvery,
 	}
 	w.flushed.L = &w.mu
 	s.wal = w
@@ -457,23 +478,24 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 // snapFrame is one parsed snapshot record, held until the whole snapshot
 // has verified so a corrupt snapshot never half-applies.
 type snapFrame struct {
-	seq uint64
-	fb  core.Feedback
+	epoch uint64
+	seq   uint64
+	fb    core.Feedback
 }
 
 // readSnapshot parses and verifies the compacted log. A missing snapshot
-// is a fresh store (all zero returns). I/O failures return err; any
-// structural or checksum failure returns corrupt instead — the caller
+// is a fresh store (no frames, an empty body). I/O failures return err;
+// any structural or checksum failure returns corrupt instead — the caller
 // falls back to WAL-only replay. Records are collected and only handed
 // back once the whole file verified, so a corrupt snapshot contributes
 // nothing rather than a half-applied prefix.
-func readSnapshot(path string) (frames []snapFrame, lastSeq uint64, corrupt, err error) {
+func readSnapshot(path string) (frames []snapFrame, facts snapFacts, corrupt, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, nil, nil
+		return nil, snapFacts{valid: true}, nil, nil
 	}
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("registry: read snapshot: %w", err)
+		return nil, snapFacts{}, nil, fmt.Errorf("registry: read snapshot: %w", err)
 	}
 	return parseSnapshotDoc(data, path)
 }
@@ -481,15 +503,20 @@ func readSnapshot(path string) (frames []snapFrame, lastSeq uint64, corrupt, err
 // parseSnapshotDoc verifies and decodes a snapshot document (from disk or
 // a replica transfer). Structural/checksum problems come back as corrupt,
 // never half-applied records; label names the source in error messages.
-func parseSnapshotDoc(data []byte, label string) (frames []snapFrame, lastSeq uint64, corrupt, err error) {
+// facts describes the document's header and body; it is valid when the
+// body holds exactly its count records, and the caller still checks their
+// sequence numbers and epochs (denseFrames).
+func parseSnapshotDoc(data []byte, label string) (frames []snapFrame, facts snapFacts, corrupt, err error) {
 	path := label
 	line, body, ok := bytes.Cut(data, []byte{'\n'})
 	if !ok {
-		return nil, 0, fmt.Errorf("snapshot %s: missing header", path), nil
+		return nil, facts, fmt.Errorf("snapshot %s: missing header", path), nil
 	}
 	fields := strings.Fields(string(line))
 	var count int
 	var last uint64
+	var crc uint32
+	legacy := false
 	switch {
 	case len(fields) == 5 && fields[0] == snapPrefixV2:
 		c, err1 := strconv.Atoi(fields[1])
@@ -497,53 +524,70 @@ func parseSnapshotDoc(data []byte, label string) (frames []snapFrame, lastSeq ui
 		wantCRC, err3 := strconv.ParseUint(fields[3], 16, 32)
 		bodyLen, err4 := strconv.ParseInt(fields[4], 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || c < 0 || bodyLen < 0 {
-			return nil, 0, fmt.Errorf("snapshot %s: bad header %q", path, line), nil
+			return nil, facts, fmt.Errorf("snapshot %s: bad header %q", path, line), nil
 		}
 		if int64(len(body)) != bodyLen {
-			return nil, 0, fmt.Errorf("snapshot %s: body is %d bytes, header says %d", path, len(body), bodyLen), nil
+			return nil, facts, fmt.Errorf("snapshot %s: body is %d bytes, header says %d", path, len(body), bodyLen), nil
 		}
 		if got := crc32.ChecksumIEEE(body); got != uint32(wantCRC) {
-			return nil, 0, fmt.Errorf("snapshot %s: body checksum mismatch (%08x != %08x)", path, got, uint32(wantCRC)), nil
+			return nil, facts, fmt.Errorf("snapshot %s: body checksum mismatch (%08x != %08x)", path, got, uint32(wantCRC)), nil
 		}
-		count, last = c, l
+		count, last, crc = c, l, uint32(wantCRC)
 	case len(fields) == 3 && fields[0] == snapPrefix:
 		// Legacy header: no body checksum; per-frame CRCs still verify.
 		c, err1 := strconv.Atoi(fields[1])
 		l, err2 := strconv.ParseUint(fields[2], 10, 64)
 		if err1 != nil || err2 != nil || c < 0 {
-			return nil, 0, fmt.Errorf("snapshot %s: bad header %q", path, line), nil
+			return nil, facts, fmt.Errorf("snapshot %s: bad header %q", path, line), nil
 		}
-		count, last = c, l
+		count, last, legacy = c, l, true
 	default:
-		return nil, 0, fmt.Errorf("snapshot %s: bad header %q", path, line), nil
+		return nil, facts, fmt.Errorf("snapshot %s: bad header %q", path, line), nil
 	}
 	rest := body
 	for i := 0; i < count; i++ {
 		line, next, ok := bytes.Cut(rest, []byte{'\n'})
 		if !ok {
-			return nil, 0, fmt.Errorf("snapshot %s: %d of %d records, then truncated", path, i, count), nil
+			return nil, facts, fmt.Errorf("snapshot %s: %d of %d records, then truncated", path, i, count), nil
 		}
 		rest = next
-		_, seq, fb, err := parseFrame(line)
+		epoch, seq, fb, err := parseFrame(line)
 		if err != nil {
-			return nil, 0, fmt.Errorf("snapshot %s record %d: %w", path, i, err), nil
+			return nil, facts, fmt.Errorf("snapshot %s record %d: %w", path, i, err), nil
 		}
-		frames = append(frames, snapFrame{seq: seq, fb: fb})
+		frames = append(frames, snapFrame{epoch: epoch, seq: seq, fb: fb})
 	}
-	return frames, last, nil, nil
+	used := body[:len(body)-len(rest)]
+	facts = snapFacts{
+		// A legacy body may trail bytes past its records; only the
+		// records are carried forward, under a checksum taken now.
+		valid:   legacy || len(rest) == 0,
+		count:   count,
+		lastSeq: last,
+		crc:     crc,
+		bodyOff: int64(len(line) + 1),
+		bodyLen: int64(len(used)),
+	}
+	if legacy {
+		facts.crc = crc32.ChecksumIEEE(used)
+	}
+	return frames, facts, nil, nil
 }
 
 // replayWAL applies every intact frame with seq > snapLastSeq, then
-// truncates any torn tail so future appends extend the durable prefix.
-func (s *Store) replayWAL(path string, snapLastSeq uint64, rec *Recovery) error {
+// truncates any torn tail so future appends extend the durable prefix. It
+// returns the offset of the first applied (live) frame, or the end of the
+// intact frames when every frame was already covered by the snapshot.
+func (s *Store) replayWAL(path string, snapLastSeq uint64, rec *Recovery) (liveOff int64, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("registry: read wal: %w", err)
+		return 0, fmt.Errorf("registry: read wal: %w", err)
 	}
 	offset := int64(0) // end of the last intact frame
+	liveOff = -1
 	rest := data
 	for len(rest) > 0 {
 		line, next, ok := bytes.Cut(rest, []byte{'\n'})
@@ -557,20 +601,26 @@ func (s *Store) replayWAL(path string, snapLastSeq uint64, rec *Recovery) error 
 		if seq <= snapLastSeq {
 			rec.SkippedRecords++
 		} else {
+			if liveOff < 0 {
+				liveOff = offset
+			}
 			s.applyRecovered(seq, fb)
 			rec.WALRecords++
 		}
 		offset += int64(len(line)) + 1
 		rest = next
 	}
+	if liveOff < 0 {
+		liveOff = offset
+	}
 	if torn := int64(len(data)) - offset; torn > 0 {
 		rec.Torn = true
 		rec.TornBytes = torn
 		if err := os.Truncate(path, offset); err != nil {
-			return fmt.Errorf("registry: truncate torn wal tail: %w", err)
+			return 0, fmt.Errorf("registry: truncate torn wal tail: %w", err)
 		}
 	}
-	return nil
+	return liveOff, nil
 }
 
 // appendFrame renders one WAL frame — prefix, optional epoch, sequence
@@ -594,13 +644,7 @@ func appendFrame(dst []byte, epoch, seq uint64, crc uint32, payload []byte) []by
 	dst = append(dst, ' ')
 	dst = strconv.AppendUint(dst, seq, 10)
 	dst = append(dst, ' ')
-	const hexdigits = "0123456789abcdef"
-	var hex [8]byte
-	for i := 7; i >= 0; i-- {
-		hex[i] = hexdigits[crc&0xf]
-		crc >>= 4
-	}
-	dst = append(dst, hex[:]...)
+	dst = appendHex8(dst, crc)
 	dst = append(dst, ' ')
 	dst = append(dst, payload...)
 	return append(dst, '\n')
@@ -639,9 +683,9 @@ func (s *Store) Sync() error {
 	return s.wal.sync()
 }
 
-// Snapshot compacts the log: the full in-memory state is written to a
-// fresh snapshot (atomically, via temp + rename) and the WAL truncated to
-// empty. Open replays the result to the identical store.
+// Snapshot compacts the log: the full store is written to a fresh
+// snapshot (atomically, via temp + rename) and the WAL truncated to empty.
+// Open replays the result to the identical store.
 func (s *Store) Snapshot() error {
 	s.state.Lock()
 	defer s.state.Unlock()
@@ -651,40 +695,73 @@ func (s *Store) Snapshot() error {
 	return s.snapshotLocked()
 }
 
-// compact runs the auto-compaction a Submit triggered, re-checking the
-// threshold under the exclusive state lock so concurrent triggers collapse
-// into one snapshot.
-func (s *Store) compact() error {
-	s.state.Lock()
-	defer s.state.Unlock()
-	if s.closed || s.wal == nil || !s.wal.shouldCompact() {
-		return nil
+// OnCompactionError installs fn to receive the error of every failed
+// auto-compaction (nil uninstalls). A write that crosses SnapshotEvery
+// compacts after its record is durable and applied, so it reports only
+// its own result: a failed compaction goes to fn, and the next one is
+// attempted once another SnapshotEvery frames accumulate. fn runs on the
+// writing goroutine after the store's locks are released.
+func (s *Store) OnCompactionError(fn func(error)) {
+	if fn == nil {
+		s.compactErr.Store(nil)
+		return
 	}
-	return s.snapshotLocked()
+	s.compactErr.Store(&fn)
+}
+
+// compact runs the auto-compaction a write triggered, re-checking the
+// threshold under the exclusive state lock so concurrent triggers collapse
+// into one snapshot. A failure is handed to the OnCompactionError handler,
+// never to the write.
+func (s *Store) compact() {
+	err := func() error {
+		s.state.Lock()
+		defer s.state.Unlock()
+		if s.closed || s.wal == nil || !s.wal.shouldCompact() {
+			return nil
+		}
+		if err := s.snapshotLocked(); err != nil {
+			s.wal.deferCompact()
+			return err
+		}
+		return nil
+	}()
+	if fn := s.compactErr.Load(); err != nil && fn != nil {
+		(*fn)(fmt.Errorf("registry: auto-compaction: %w", err))
+	}
 }
 
 // buildSnapshotDoc renders the full snapshot document — checksummed s2
-// header plus one frame per record — for the given log. Snapshot frames
-// re-number densely from lastSeq-len+1..lastSeq (the identity mapping in
-// practice, since sequence numbers are contiguous); each frame carries the
-// epoch the marks assign its sequence number, so a replica seeded from
-// this document reconstructs a byte-identical history.
-func buildSnapshotDoc(log []core.Feedback, lastSeq uint64, marks []EpochMark) ([]byte, error) {
+// header plus one frame per record — for the given log, with the facts of
+// the document. Snapshot frames re-number densely from
+// lastSeq-len+1..lastSeq (the identity mapping in practice, since sequence
+// numbers are contiguous); each frame carries the epoch the marks assign
+// its sequence number, so a replica seeded from this document
+// reconstructs a byte-identical history.
+func buildSnapshotDoc(log []core.Feedback, lastSeq uint64, marks []EpochMark) ([]byte, snapFacts, error) {
 	var body []byte
 	base := lastSeq - uint64(len(log))
 	var frame []byte
 	for i, fb := range log {
 		payload, err := marshalRecord(fb)
 		if err != nil {
-			return nil, err
+			return nil, snapFacts{}, err
 		}
 		seq := base + uint64(i) + 1
 		frame = appendFrame(frame[:0], epochAt(marks, seq), seq, crc32.ChecksumIEEE(payload), payload)
 		body = append(body, frame...)
 	}
+	facts := snapFacts{
+		valid:   true,
+		count:   len(log),
+		lastSeq: lastSeq,
+		crc:     crc32.ChecksumIEEE(body),
+		bodyLen: int64(len(body)),
+	}
 	header := fmt.Sprintf("%s %d %d %08x %d\n",
-		snapPrefixV2, len(log), lastSeq, crc32.ChecksumIEEE(body), len(body))
-	return append([]byte(header), body...), nil
+		snapPrefixV2, len(log), lastSeq, facts.crc, len(body))
+	facts.bodyOff = int64(len(header))
+	return append([]byte(header), body...), facts, nil
 }
 
 // snapshotLocked writes snapshot.wsx.tmp, fsyncs, renames it over
@@ -694,23 +771,38 @@ func buildSnapshotDoc(log []core.Feedback, lastSeq uint64, marks []EpochMark) ([
 // are skipped by sequence number. The world is quiesced (state held
 // exclusively), so every acknowledged record is both durable and applied.
 //
+// The new file is the old snapshot body plus the WAL's live frames,
+// copied and verified by extendSnapshot. Only when those files cannot be
+// extended — after Reset, or when a check fails — does it re-encode every
+// record from the view, which also heals a rotted file.
+//
 //lint:guarded snapshotLocked runs with s.state held by Snapshot/compact
 func (s *Store) snapshotLocked() error {
 	if err := s.wal.sync(); err != nil {
 		return err
 	}
 	w := s.wal
-	doc, err := buildSnapshotDoc(s.currentView().log, s.seq.Load(), s.Marks())
-	if err != nil {
-		return fmt.Errorf("registry: snapshot: %w", err)
+	next, err := snapFacts{}, errStale
+	if s.snap.valid {
+		next, err = s.extendSnapshot()
 	}
-	if err := writeFileAtomic(w.dir, snapshotName, doc); err != nil {
+	if errors.Is(err, errStale) {
+		var doc []byte
+		if doc, next, err = buildSnapshotDoc(s.currentView().log, s.seq.Load(), s.Marks()); err == nil {
+			err = writeFileAtomic(w.dir, snapshotName, doc)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("registry: snapshot: %w", err)
 	}
 	// The snapshot is durable; the WAL's frames are now redundant.
 	if err := w.f.Truncate(0); err != nil {
+		// The WAL still holds frames the new snapshot covers; the next
+		// compaction re-encodes from memory.
+		s.snap = snapFacts{}
 		return fmt.Errorf("registry: wal truncate after snapshot: %w", err)
 	}
+	s.snap = next
 	w.resetAfterCompact()
 	return nil
 }
@@ -718,21 +810,25 @@ func (s *Store) snapshotLocked() error {
 // writeFileAtomic lands data at dir/name via the temp + fsync + rename +
 // dir-fsync dance, so the file is never observed half written.
 func writeFileAtomic(dir, name string, data []byte) error {
+	return replaceFile(dir, name, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// replaceFile is writeFileAtomic with the contents written by fill: it
+// creates dir/name.tmp, lets fill write it, fsyncs and closes it, renames
+// it over dir/name and fsyncs dir. When fill fails nothing is renamed.
+func replaceFile(dir, name string, fill func(f *os.File) error) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(f)
-	werr := func() error {
-		if _, err := bw.Write(data); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
+	werr := fill(f)
+	if werr == nil {
+		werr = f.Sync()
+	}
 	cerr := f.Close()
 	if werr != nil {
 		return werr

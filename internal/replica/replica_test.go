@@ -255,11 +255,19 @@ func TestFollowerServesStaleWhenPrimaryDies(t *testing.T) {
 		defer close(done)
 		f.Run(ctx)
 	}()
-	for i := 0; i < 5000 && local.LastSeq() < 20; i++ {
+	// Wait for the stream too, not just the records: the bootstrap
+	// delivers them before the stream connects, and a stream that
+	// connects after the severing below would keep Close waiting forever.
+	for i := 0; i < 5000 && (local.LastSeq() < 20 || !f.Streaming()); i++ {
 		simclock.SleepWall(time.Millisecond)
 	}
-	// Primary dies: sever live connections first — Close alone waits for
-	// the in-flight stream, which only ends on client disconnect.
+	// Primary dies: stop accepting, then sever live connections — Close
+	// alone waits for the in-flight stream, which only ends on client
+	// disconnect, and a follower that reconnected between the severing
+	// and Close would open a stream Close waits on forever.
+	if err := srv.Listener.Close(); err != nil {
+		t.Fatal(err)
+	}
 	srv.CloseClientConnections()
 	srv.Close()
 	for i := 0; i < 5000 && f.Streaming(); i++ {
