@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trust/eigentrust -run FuzzWarmStartResidual -fuzz FuzzWarmStartResidual -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run FuzzScenarioParse -fuzz FuzzScenarioParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/registry -run FuzzWALRecover -fuzz FuzzWALRecover -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/registry -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
 
 # Deterministic crash/corruption chaos suite under the race detector:
 # seeded primary kill mid-commit with promotion and fenced rejoin, seeded

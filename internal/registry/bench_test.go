@@ -13,8 +13,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wstrust/internal/core"
+	"wstrust/internal/simclock"
+	"wstrust/internal/trust/beta"
 )
 
 // unshardedStore is the pre-PR6 registry: every Submit serializes on one
@@ -211,6 +214,69 @@ func BenchmarkForServiceView(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := st.ForService(core.NewServiceID(i % 64)); len(got) == 0 {
 			b.Fatal("empty result")
+		}
+	}
+}
+
+// bootFeedback is record i of a store shaped like the one wsxd boots in
+// the repo benchmark: 4096 consumers rating 16 services of a catalog, one
+// overall rating each, a millisecond apart.
+func bootFeedback(i int) core.Feedback {
+	return core.Feedback{
+		Consumer: core.NewConsumerID(i%4096 + 1),
+		Service:  core.NewServiceID(i%16 + 1),
+		Provider: core.NewProviderID(i%16 + 1),
+		Context:  "compute",
+		Ratings:  map[core.Facet]float64{core.FacetOverall: float64(i*7919%1001) / 1000},
+		At:       simclock.Epoch.Add(time.Duration(i) * time.Millisecond),
+	}
+}
+
+// writeBootStore fills dir with n bootFeedback records, all but the last
+// inWAL compacted into the snapshot.
+func writeBootStore(tb testing.TB, dir string, n, inWAL int) {
+	tb.Helper()
+	s, _, err := Open(dir, WALOptions{SyncEvery: 1 << 30})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batch := make([]core.Feedback, 0, 4096)
+	for i := 0; i < n; i++ {
+		batch = append(batch, bootFeedback(i))
+		if len(batch) == cap(batch) || i == n-inWAL-1 || i == n-1 {
+			if err := s.SubmitBatch(batch); err != nil {
+				tb.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+		if i == n-inWAL-1 {
+			if err := s.Snapshot(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkOpenReplay measures one boot of a 65,536-record store, the
+// size of the repo benchmark's preload: Open recovers the snapshot and
+// the WAL behind it, and Replay feeds every record into a fresh beta
+// mechanism. Run it with -benchmem for the allocations per boot.
+func BenchmarkOpenReplay(b *testing.B) {
+	dir := b.TempDir()
+	writeBootStore(b, dir, 65536, 2048)
+	for b.Loop() {
+		s, _, err := Open(dir, WALOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Replay(beta.New()); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -60,7 +60,8 @@ func viewStale(s *Store) bool {
 // memoryDoc is the snapshot the memory path writes for the store as it is.
 func memoryDoc(t *testing.T, s *Store) []byte {
 	t.Helper()
-	doc, _, err := buildSnapshotDoc(s.currentView().log, s.LastSeq(), s.Marks())
+	v := s.currentView()
+	doc, _, err := buildSnapshotDoc(v.log, v.seqs, s.LastSeq(), s.Marks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +206,10 @@ func (h *history) run(steps int) {
 	}
 }
 
-// TestConcatSnapshotMatchesMemoryPath is the differential test of the two
-// compaction paths: on random histories from every kind of starting state
-// Open, SeedFromSnapshot and ResetReplica produce, the concatenated
-// snapshot equals buildSnapshotDoc over the view byte for byte.
-func TestConcatSnapshotMatchesMemoryPath(t *testing.T) {
-	starts := map[string]func(t *testing.T, rng *rand.Rand, dir string) *Store{
+// historyStarts builds a durable store in dir in every kind of starting
+// state Open, SeedFromSnapshot and ResetReplica produce.
+func historyStarts() map[string]func(t *testing.T, rng *rand.Rand, dir string) *Store {
+	return map[string]func(t *testing.T, rng *rand.Rand, dir string) *Store{
 		"fresh": func(t *testing.T, rng *rand.Rand, dir string) *Store {
 			s, _ := openT(t, dir, WALOptions{})
 			return s
@@ -219,10 +218,11 @@ func TestConcatSnapshotMatchesMemoryPath(t *testing.T) {
 			// A pre-checksum snapshot: "s1 <count> <lastSeq>" over the
 			// same frames, with WAL frames behind it.
 			log := make([]core.Feedback, 25)
+			seqs := make([]uint64, 25)
 			for i := range log {
-				log[i] = randFeedback(rng, 1000+i)
+				log[i], seqs[i] = randFeedback(rng, 1000+i), uint64(i+1)
 			}
-			doc, facts, err := buildSnapshotDoc(log, 25, nil)
+			doc, facts, err := buildSnapshotDoc(log, seqs, 25, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,7 +313,14 @@ func TestConcatSnapshotMatchesMemoryPath(t *testing.T) {
 			return s
 		},
 	}
-	for name, start := range starts {
+}
+
+// TestConcatSnapshotMatchesMemoryPath is the differential test of the two
+// compaction paths: on random histories from every kind of starting state
+// Open, SeedFromSnapshot and ResetReplica produce, the concatenated
+// snapshot equals buildSnapshotDoc over the view byte for byte.
+func TestConcatSnapshotMatchesMemoryPath(t *testing.T) {
+	for name, start := range historyStarts() {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))

@@ -130,13 +130,16 @@ func (s *Store) Import(r io.Reader) (int, error) {
 
 // Replay feeds every stored feedback into a mechanism, in submission
 // (sequence) order — rebuilding a reputation state from a persisted log.
-// Like Export, it reads the copy-on-write view without copying.
+// It merges the shard segments itself rather than reading the
+// copy-on-write view, so a boot that only replays into a mechanism never
+// builds the view; the first read that needs one does.
 func (s *Store) Replay(mech core.Mechanism) (int, error) {
-	log := s.currentView().log
-	for i, fb := range log {
+	n := 0
+	for fb := range s.bySeq() {
 		if err := mech.Submit(fb); err != nil {
-			return i, fmt.Errorf("registry: replay record %d: %w", i, err)
+			return n, fmt.Errorf("registry: replay record %d: %w", n, err)
 		}
+		n++
 	}
-	return len(log), nil
+	return n, nil
 }

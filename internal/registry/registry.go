@@ -15,12 +15,16 @@
 // A global atomic sequence number stamps every record; all read APIs serve
 // from an immutable copy-on-write View (see view.go) assembled by merging
 // the shard segments in sequence order, so queries are deterministic and
-// never take a write lock. Durable stores batch concurrent Submits into WAL
-// group commits (see wal.go) amortizing one fsync across the batch.
+// never take a write lock. The view is built on the first read that needs
+// it; Replay merges the segments itself, so a boot that only replays into
+// a mechanism never builds it. Durable stores batch concurrent Submits
+// into WAL group commits (see wal.go) amortizing one fsync across the
+// batch.
 package registry
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -71,16 +75,11 @@ type Store struct {
 }
 
 // shard is one lock stripe of the store: an append-only segment of
-// sequence-stamped records plus local indexes into it. A (consumer,
-// service) pair always lands in the shard of its service key, so per-pair
-// and per-service history is shard-local while per-consumer history merges
-// across shards.
+// sequence-stamped records. A service's records all land in the shard of
+// its service key; the indexes reads use live in the View.
 type shard struct {
-	mu         sync.RWMutex
-	recs       []record                   // guarded by mu
-	byService  map[core.ServiceID][]int32 // guarded by mu
-	byConsumer map[core.ConsumerID][]int32 // guarded by mu
-	byPair     map[pairKey][]int32        // guarded by mu
+	mu   sync.RWMutex
+	recs []record // guarded by mu
 }
 
 // record is one stored feedback entry with its global sequence number.
@@ -108,19 +107,7 @@ func shardFor(id core.ServiceID) int {
 // NewStore returns an empty in-memory registry. For a crash-consistent,
 // WAL-backed registry use Open.
 func NewStore() *Store {
-	s := &Store{commitCh: make(chan struct{})}
-	for i := range s.shards {
-		s.shards[i].init()
-	}
-	return s
-}
-
-//lint:guarded init runs before the shard is shared (NewStore) or with mu held (Reset)
-func (sh *shard) init() {
-	sh.recs = nil
-	sh.byService = map[core.ServiceID][]int32{}
-	sh.byConsumer = map[core.ConsumerID][]int32{}
-	sh.byPair = map[pairKey][]int32{}
+	return &Store{commitCh: make(chan struct{})}
 }
 
 // Submit appends one feedback record. Malformed feedback is rejected.
@@ -233,33 +220,49 @@ func (s *Store) SubmitBatch(fbs []core.Feedback) error {
 	return nil
 }
 
-// apply appends one sequence-stamped record to the shard segment and its
-// local indexes.
+// apply appends one sequence-stamped record to the shard segment.
 //
 //lint:guarded apply runs with the shard's mu held (Submit, recovery)
 func (sh *shard) apply(seq uint64, fb core.Feedback) {
-	pos := int32(len(sh.recs))
 	sh.recs = append(sh.recs, record{seq: seq, fb: fb})
-	sh.byService[fb.Service] = append(sh.byService[fb.Service], pos)
-	sh.byConsumer[fb.Consumer] = append(sh.byConsumer[fb.Consumer], pos)
-	k := pairKey{fb.Consumer, fb.Service}
-	sh.byPair[k] = append(sh.byPair[k], pos)
 }
 
-// applyRecovered installs one replayed record during Open. Recovery is
-// single-goroutine and the store is not yet shared; locks are taken for
-// uniformity. Replayed records were counted as messages when first
-// submitted, so they are not re-counted.
-func (s *Store) applyRecovered(seq uint64, fb core.Feedback) {
+// applyRecovered installs one record Open recovers or a snapshot seeds,
+// and reports whether it did: a record whose sequence number does not
+// exceed the store's is skipped, so recovery applies each sequence number
+// at most once. The store is not yet shared (Open) or is held exclusively
+// (SeedFromSnapshot); the shard lock is taken for uniformity. Recovered
+// records were counted as messages when first submitted, so they are not
+// re-counted.
+func (s *Store) applyRecovered(seq uint64, fb core.Feedback) bool {
+	if seq <= s.seq.Load() {
+		return false
+	}
 	sh := &s.shards[shardFor(fb.Service)]
 	sh.mu.Lock()
 	sh.apply(seq, fb)
 	sh.mu.Unlock()
-	if seq > s.seq.Load() {
-		s.seq.Store(seq)
-	}
+	s.seq.Store(seq)
 	s.count.Add(1)
 	s.version.Add(1)
+	return true
+}
+
+// reserve sizes every shard segment for the records Open is about to
+// apply, so recovery grows each segment once rather than by doubling.
+func (s *Store) reserve(batches ...[]snapFrame) {
+	var n [shardCount]int
+	for _, frames := range batches {
+		for i := range frames {
+			n[shardFor(frames[i].fb.Service)]++
+		}
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		sh.recs = slices.Grow(sh.recs, n[i])
+		sh.mu.Unlock()
+	}
 }
 
 // Len reports the number of stored feedback records.
@@ -354,7 +357,7 @@ func (s *Store) Reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.init()
+		sh.recs = nil
 		sh.mu.Unlock()
 	}
 	s.count.Store(0)

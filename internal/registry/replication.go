@@ -21,7 +21,7 @@ package registry
 // commit, letting a streamer block for "new frames" without polling.
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -75,60 +75,67 @@ func (f Frame) AppendWire(dst []byte) []byte {
 	return appendFrame(dst, f.Epoch, f.Seq, crc32.ChecksumIEEE(f.Payload), f.Payload)
 }
 
-// Feedback decodes and validates the frame's payload.
+// Feedback decodes the frame's payload (see decodeRecord).
 func (f Frame) Feedback() (core.Feedback, error) {
-	var rec feedbackRecord
-	if err := json.Unmarshal(f.Payload, &rec); err != nil {
+	fb, err := decodeRecord(f.Payload)
+	if err != nil {
 		return core.Feedback{}, fmt.Errorf("registry: frame %d payload: %w", f.Seq, err)
 	}
-	return rec.toFeedback(), nil
+	return fb, nil
 }
 
 // ParseWire decodes and checksum-verifies one wire line (without its
 // trailing newline). Both the legacy epoch-0 "w1" and the epoch-stamped
-// "w2" layouts are accepted.
+// "w2" layouts are accepted. The returned payload is a copy, so line may
+// be reused.
 func ParseWire(line []byte) (Frame, error) {
+	f, err := parseWire(line)
+	f.Payload = bytes.Clone(f.Payload)
+	return f, err
+}
+
+// parseWire is ParseWire in place: the payload it returns aliases line.
+func parseWire(line []byte) (Frame, error) {
 	var f Frame
-	s := string(line)
+	s := line
 	switch {
-	case strings.HasPrefix(s, framePrefixE+" "):
-		rest := s[len(framePrefixE)+1:]
-		epochStr, tail, ok := strings.Cut(rest, " ")
+	case bytes.HasPrefix(s, []byte(framePrefixE+" ")):
+		epochStr, tail, ok := bytes.Cut(s[len(framePrefixE)+1:], []byte{' '})
 		if !ok {
 			return f, fmt.Errorf("registry: short frame %q", line)
 		}
-		epoch, err := strconv.ParseUint(epochStr, 10, 64)
+		epoch, err := strconv.ParseUint(string(epochStr), 10, 64)
 		if err != nil || epoch == 0 {
 			return f, fmt.Errorf("registry: bad frame epoch %q", epochStr)
 		}
 		f.Epoch = epoch
 		s = tail
-	case strings.HasPrefix(s, framePrefix+" "):
+	case bytes.HasPrefix(s, []byte(framePrefix+" ")):
 		s = s[len(framePrefix)+1:]
 	default:
 		return f, fmt.Errorf("registry: bad frame prefix in %q", clipForError(line))
 	}
-	seqStr, rest, ok := strings.Cut(s, " ")
+	seqStr, rest, ok := bytes.Cut(s, []byte{' '})
 	if !ok {
 		return f, fmt.Errorf("registry: short frame %q", clipForError(line))
 	}
-	crcStr, payload, ok := strings.Cut(rest, " ")
+	crcStr, payload, ok := bytes.Cut(rest, []byte{' '})
 	if !ok {
 		return f, fmt.Errorf("registry: short frame %q", clipForError(line))
 	}
-	seq, err := strconv.ParseUint(seqStr, 10, 64)
+	seq, err := strconv.ParseUint(string(seqStr), 10, 64)
 	if err != nil {
 		return f, fmt.Errorf("registry: bad frame seq %q: %w", seqStr, err)
 	}
-	want, err := strconv.ParseUint(crcStr, 16, 32)
+	want, err := strconv.ParseUint(string(crcStr), 16, 32)
 	if err != nil || len(crcStr) != 8 {
 		return f, fmt.Errorf("registry: bad frame checksum field %q", crcStr)
 	}
-	if got := crc32.ChecksumIEEE([]byte(payload)); got != uint32(want) {
+	if got := crc32.ChecksumIEEE(payload); got != uint32(want) {
 		return f, fmt.Errorf("registry: frame %d checksum mismatch (%08x != %08x)", seq, got, uint32(want))
 	}
 	f.Seq = seq
-	f.Payload = []byte(payload)
+	f.Payload = payload
 	return f, nil
 }
 
@@ -481,7 +488,7 @@ func (s *Store) WriteSnapshotTo(w io.Writer) (records int, lastSeq uint64, err e
 		log = nil
 		last = 0
 	}
-	doc, _, err := buildSnapshotDoc(log, last, s.Marks())
+	doc, _, err := buildSnapshotDoc(log, seqs, last, s.Marks())
 	if err != nil {
 		return 0, 0, fmt.Errorf("registry: snapshot transfer: %w", err)
 	}
@@ -497,6 +504,8 @@ func (s *Store) WriteSnapshotTo(w io.Writer) (records int, lastSeq uint64, err e
 // durable store the document bytes land as the local snapshot file
 // (atomically) and the WAL is truncated, so a crash right after the seed
 // recovers to the same state. The store must be empty (no records, seq 0).
+// As in Open, each sequence number is applied at most once; it returns
+// the number of records applied.
 func (s *Store) SeedFromSnapshot(data []byte) (int, error) {
 	frames, facts, corrupt, err := parseSnapshotDoc(data, "snapshot transfer")
 	if err == nil && corrupt != nil {
@@ -531,20 +540,19 @@ func (s *Store) SeedFromSnapshot(data []byte) (int, error) {
 		facts.valid = facts.valid && denseFrames(frames, facts.lastSeq, s.Marks())
 		s.snap = facts
 	}
+	n := 0
 	for _, fr := range frames {
-		sh := &s.shards[shardFor(fr.fb.Service)]
-		sh.mu.Lock()
-		sh.apply(fr.seq, fr.fb)
-		sh.mu.Unlock()
+		if s.applyRecovered(fr.seq, fr.fb) {
+			n++
+		}
 	}
-	if facts.lastSeq > 0 {
+	if facts.lastSeq > s.seq.Load() {
 		s.seq.Store(facts.lastSeq)
 	}
-	s.count.Add(int64(len(frames)))
 	s.version.Add(1)
 	s.state.Unlock()
 	s.notifyCommit()
-	return len(frames), nil
+	return n, nil
 }
 
 // ResetReplica wipes the store back to an empty, epoch-0 state: in-memory
@@ -561,7 +569,7 @@ func (s *Store) ResetReplica() error {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.init()
+		sh.recs = nil
 		sh.mu.Unlock()
 	}
 	s.count.Store(0)

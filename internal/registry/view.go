@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"iter"
 	"maps"
+	"slices"
 	"sort"
 
 	"wstrust/internal/core"
@@ -209,6 +211,48 @@ func (s *Store) rebuildView(version, gen uint64, lens [shardCount]int) *View {
 	nv.services = sortedKeys(nv.byService)
 	nv.consumers = sortedKeys(nv.byConsumer)
 	return nv
+}
+
+// bySeq yields the store's records in sequence order, the order buildView
+// gives the log, merged straight from the shard segments without building
+// a view. A segment is normally in sequence order already; one that a
+// racing writer left out of order (its shard apply landed after a later
+// sequence number's) is sorted on a copy first. Only the records present
+// when iteration starts are read (that region is append-only).
+func (s *Store) bySeq() iter.Seq[core.Feedback] {
+	return func(yield func(core.Feedback) bool) {
+		segs := make([][]record, 0, shardCount)
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.RLock()
+			seg := sh.recs[:len(sh.recs):len(sh.recs)]
+			sh.mu.RUnlock()
+			for j := 1; j < len(seg); j++ {
+				if seg[j].seq < seg[j-1].seq {
+					seg = slices.Clone(seg)
+					sort.Slice(seg, func(a, b int) bool { return seg[a].seq < seg[b].seq })
+					break
+				}
+			}
+			if len(seg) > 0 {
+				segs = append(segs, seg)
+			}
+		}
+		for len(segs) > 0 {
+			m := 0
+			for i := 1; i < len(segs); i++ {
+				if segs[i][0].seq < segs[m][0].seq {
+					m = i
+				}
+			}
+			if !yield(segs[m][0].fb) {
+				return
+			}
+			if segs[m] = segs[m][1:]; len(segs[m]) == 0 {
+				segs = slices.Delete(segs, m, m+1)
+			}
+		}
+	}
 }
 
 // sortedKeys returns the map's keys in ascending order.

@@ -74,6 +74,10 @@ const (
 	framePrefixE = "w2" // epoch-stamped frame
 	snapPrefix   = "s1" // legacy snapshot header, read-only
 	snapPrefixV2 = "s2" // checksummed snapshot header
+
+	// minFrameLen is the length of the shortest line ParseWire accepts,
+	// "w1 1 00000000 " and its newline.
+	minFrameLen = 15
 )
 
 // WALOptions tune the durability/throughput trade of a WAL-backed store.
@@ -97,7 +101,10 @@ type Recovery struct {
 	SnapshotRecords int
 	WALRecords      int
 	// SkippedRecords counts WAL frames the snapshot already covered
-	// (a crash landed between snapshot rename and WAL truncation).
+	// (a crash landed between snapshot rename and WAL truncation) and
+	// frames whose sequence number does not exceed the one applied before
+	// them, which only a mangled image holds: recovery applies each
+	// sequence number at most once.
 	SkippedRecords int
 	// Torn reports that the WAL ended in a partial or corrupt frame;
 	// TornBytes is how many trailing bytes were truncated away.
@@ -442,19 +449,43 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 		rec.SnapshotWarning = corrupt.Error()
 		facts = snapFacts{valid: true}
 	} else {
-		for _, fr := range snapFrames {
-			s.applyRecovered(fr.seq, fr.fb)
-		}
-		rec.SnapshotRecords = len(snapFrames)
 		facts.valid = facts.valid && denseFrames(snapFrames, facts.lastSeq, marks)
+	}
+
+	walPath := filepath.Join(dir, walName)
+	walFrames, walOffs, walEnd, err := readWAL(walPath, &rec)
+	if err != nil {
+		return nil, rec, err
+	}
+
+	// Both files are decoded: size each shard once for what it will hold,
+	// then apply the snapshot's records and the WAL's behind them. A WAL
+	// frame the snapshot covers is skipped, as is any frame whose seq an
+	// earlier one already took.
+	s.reserve(snapFrames, walFrames)
+	for _, fr := range snapFrames {
+		if s.applyRecovered(fr.seq, fr.fb) {
+			rec.SnapshotRecords++
+		} else {
+			rec.SkippedRecords++
+		}
 	}
 	if facts.lastSeq > s.seq.Load() {
 		s.seq.Store(facts.lastSeq)
 	}
-
-	walPath := filepath.Join(dir, walName)
-	if facts.walOff, err = s.replayWAL(walPath, facts.lastSeq, &rec); err != nil {
-		return nil, rec, err
+	facts.walOff = -1
+	for i, fr := range walFrames {
+		if !s.applyRecovered(fr.seq, fr.fb) {
+			rec.SkippedRecords++
+			continue
+		}
+		if facts.walOff < 0 {
+			facts.walOff = walOffs[i] // the first live frame
+		}
+		rec.WALRecords++
+	}
+	if facts.walOff < 0 {
+		facts.walOff = walEnd // the snapshot covers every frame
 	}
 	s.snap = facts
 
@@ -475,8 +506,9 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 	return s, rec, nil
 }
 
-// snapFrame is one parsed snapshot record, held until the whole snapshot
-// has verified so a corrupt snapshot never half-applies.
+// snapFrame is one decoded snapshot or WAL record. Open holds them until
+// both files are read, so a corrupt snapshot never half-applies and every
+// shard is sized once.
 type snapFrame struct {
 	epoch uint64
 	seq   uint64
@@ -544,6 +576,9 @@ func parseSnapshotDoc(data []byte, label string) (frames []snapFrame, facts snap
 	default:
 		return nil, facts, fmt.Errorf("snapshot %s: bad header %q", path, line), nil
 	}
+	// Every frame takes at least minFrameLen bytes, so a header claiming
+	// more records than the body can hold does not size the slice.
+	frames = make([]snapFrame, 0, min(count, len(body)/minFrameLen))
 	rest := body
 	for i := 0; i < count; i++ {
 		line, next, ok := bytes.Cut(rest, []byte{'\n'})
@@ -574,53 +609,40 @@ func parseSnapshotDoc(data []byte, label string) (frames []snapFrame, facts snap
 	return frames, facts, nil, nil
 }
 
-// replayWAL applies every intact frame with seq > snapLastSeq, then
-// truncates any torn tail so future appends extend the durable prefix. It
-// returns the offset of the first applied (live) frame, or the end of the
-// intact frames when every frame was already covered by the snapshot.
-func (s *Store) replayWAL(path string, snapLastSeq uint64, rec *Recovery) (liveOff int64, err error) {
+// readWAL decodes the WAL's intact frames and truncates any torn tail, so
+// future appends extend the durable prefix. offs[i] is the offset at which
+// frames[i] starts; end is where the intact frames end.
+func readWAL(path string, rec *Recovery) (frames []snapFrame, offs []int64, end int64, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
+		return nil, nil, 0, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("registry: read wal: %w", err)
+		return nil, nil, 0, fmt.Errorf("registry: read wal: %w", err)
 	}
-	offset := int64(0) // end of the last intact frame
-	liveOff = -1
 	rest := data
 	for len(rest) > 0 {
 		line, next, ok := bytes.Cut(rest, []byte{'\n'})
 		if !ok {
 			break // no newline: a frame torn mid-write
 		}
-		_, seq, fb, err := parseFrame(line)
+		epoch, seq, fb, err := parseFrame(line)
 		if err != nil {
 			break // short or checksum-failed frame: torn tail starts here
 		}
-		if seq <= snapLastSeq {
-			rec.SkippedRecords++
-		} else {
-			if liveOff < 0 {
-				liveOff = offset
-			}
-			s.applyRecovered(seq, fb)
-			rec.WALRecords++
-		}
-		offset += int64(len(line)) + 1
+		frames = append(frames, snapFrame{epoch: epoch, seq: seq, fb: fb})
+		offs = append(offs, end)
+		end += int64(len(line)) + 1
 		rest = next
 	}
-	if liveOff < 0 {
-		liveOff = offset
-	}
-	if torn := int64(len(data)) - offset; torn > 0 {
+	if torn := int64(len(data)) - end; torn > 0 {
 		rec.Torn = true
 		rec.TornBytes = torn
-		if err := os.Truncate(path, offset); err != nil {
-			return 0, fmt.Errorf("registry: truncate torn wal tail: %w", err)
+		if err := os.Truncate(path, end); err != nil {
+			return nil, nil, 0, fmt.Errorf("registry: truncate torn wal tail: %w", err)
 		}
 	}
-	return liveOff, nil
+	return frames, offs, end, nil
 }
 
 // appendFrame renders one WAL frame — prefix, optional epoch, sequence
@@ -651,9 +673,9 @@ func appendFrame(dst []byte, epoch, seq uint64, crc uint32, payload []byte) []by
 }
 
 // parseFrame decodes and checksum-verifies one frame line (without its
-// trailing newline) and unmarshals the feedback payload.
+// trailing newline) and decodes the feedback payload.
 func parseFrame(line []byte) (epoch, seq uint64, fb core.Feedback, err error) {
-	f, err := ParseWire(line)
+	f, err := parseWire(line)
 	if err != nil {
 		return 0, 0, fb, err
 	}
@@ -732,22 +754,21 @@ func (s *Store) compact() {
 }
 
 // buildSnapshotDoc renders the full snapshot document — checksummed s2
-// header plus one frame per record — for the given log, with the facts of
-// the document. Snapshot frames re-number densely from
-// lastSeq-len+1..lastSeq (the identity mapping in practice, since sequence
-// numbers are contiguous); each frame carries the epoch the marks assign
-// its sequence number, so a replica seeded from this document
-// reconstructs a byte-identical history.
-func buildSnapshotDoc(log []core.Feedback, lastSeq uint64, marks []EpochMark) ([]byte, snapFacts, error) {
+// header plus one frame per record — for the records log[i] with sequence
+// numbers seqs[i], with the facts of the document. Each frame carries its
+// record's own sequence number (dense in practice, since sequence numbers
+// are contiguous) and the epoch the marks assign it, so a replica seeded
+// from this document, or the store reopened from it, reconstructs the
+// same history.
+func buildSnapshotDoc(log []core.Feedback, seqs []uint64, lastSeq uint64, marks []EpochMark) ([]byte, snapFacts, error) {
 	var body []byte
-	base := lastSeq - uint64(len(log))
 	var frame []byte
 	for i, fb := range log {
 		payload, err := marshalRecord(fb)
 		if err != nil {
 			return nil, snapFacts{}, err
 		}
-		seq := base + uint64(i) + 1
+		seq := seqs[i]
 		frame = appendFrame(frame[:0], epochAt(marks, seq), seq, crc32.ChecksumIEEE(payload), payload)
 		body = append(body, frame...)
 	}
@@ -788,7 +809,8 @@ func (s *Store) snapshotLocked() error {
 	}
 	if errors.Is(err, errStale) {
 		var doc []byte
-		if doc, next, err = buildSnapshotDoc(s.currentView().log, s.seq.Load(), s.Marks()); err == nil {
+		v := s.currentView()
+		if doc, next, err = buildSnapshotDoc(v.log, v.seqs, s.seq.Load(), s.Marks()); err == nil {
 			err = writeFileAtomic(w.dir, snapshotName, doc)
 		}
 	}

@@ -262,7 +262,7 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	}
 	ag.mu.Unlock()
 	for _, r := range recs {
-		w := m.agents[q.Perspective].recWeight(r.from)
+		w := ag.recWeight(r.from)
 		num += w * r.value
 		den += w
 		ag.mu.Lock()
