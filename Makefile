@@ -1,11 +1,12 @@
-# wstrust build & CI entry points. `make ci` is the tier-1 gate: vet,
-# lint, build, and full tests in one command; `make race` adds the race
+# wstrust build & CI entry points. `make ci` is the tier-1 gate: gofmt,
+# vet, lint, build, and full tests in one command; `make race` adds the race
 # detector (the parallel-runner determinism test sizes itself down
 # automatically).
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build vet lint lint-json test race cover fuzz-smoke chaos-smoke serve-smoke bench bench-test bench-suite bench-json bench-incremental bench-scenario bench-diff scenario-golden loadtest loadtest-smoke ci
+.PHONY: all build fmt vet lint lint-json test race cover fuzz-smoke chaos-smoke serve-smoke bench bench-test bench-suite bench-json bench-incremental bench-scenario bench-diff scenario-golden loadtest loadtest-smoke ci
 
 # Aggregate statement-coverage floor for the packages the fault layer,
 # the mechanism test harness, the scenario engine, and the replication
@@ -17,6 +18,12 @@ all: ci
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, naming the files, when gofmt would change any
+# tracked Go file.
+fmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -146,4 +153,4 @@ loadtest:
 loadtest-smoke:
 	./scripts/loadtest_smoke.sh
 
-ci: vet lint lint-json build test cover
+ci: fmt vet lint lint-json build test cover

@@ -157,7 +157,7 @@ func jobSet(name, benchtime string) ([]job, string, error) {
 			// baseline, swept across GOMAXPROCS. The durable pair is the
 			// group-commit fsync-amortization claim; keep iteration counts
 			// fixed so runs are comparable.
-			{pkg: "./internal/registry", bench: "^(BenchmarkSubmitMemSharded|BenchmarkSubmitMemUnsharded|BenchmarkSubmitDurableGroupCommit|BenchmarkSubmitDurableUnsharded|BenchmarkRatingMatrixCOW|BenchmarkForServiceView)$", benchtime: "2000x", cpu: "1,2,4"},
+			{pkg: "./internal/registry", bench: "^(BenchmarkSubmitMemSharded|BenchmarkSubmitMemUnsharded|BenchmarkSubmitDurableGroupCommit|BenchmarkSubmitDurableUnsharded)$", benchtime: "2000x", cpu: "1,2,4"},
 		}, "wstrust benchmark record for PR 6 (sharded registry + group-commit WAL + wsxload); regenerate with `make bench-json` and `make loadtest`", nil
 	case "incremental":
 		return []job{

@@ -331,8 +331,7 @@ func (s *server) computeRankSnapshot(consumer core.ConsumerID) *rankSnapshot {
 // runs at saturation. With no write load the version check always demands
 // freshness, preserving sequential read-your-writes semantics.
 //
-//lint:hotpath every /rank request passes through here; the fast path is
-// two atomic loads and must stay allocation-free.
+//lint:hotpath every /rank request passes through here; the fast path is two atomic loads and must stay allocation-free.
 func (s *server) freshRankSnapshot(consumer core.ConsumerID) *rankSnapshot {
 	snap := s.rankSnap.Load()
 	if snap.version == s.rankVer.Load() {

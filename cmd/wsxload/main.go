@@ -45,15 +45,15 @@ func main() {
 }
 
 type config struct {
-	addr       string
-	rps        float64
-	conns      int
-	duration   time.Duration
-	warmup     time.Duration
-	mix        float64 // fraction of requests that are submits
-	seed       int64
-	consumers  int
-	queue      int
+	addr        string
+	rps         float64
+	conns       int
+	duration    time.Duration
+	warmup      time.Duration
+	mix         float64 // fraction of requests that are submits
+	seed        int64
+	consumers   int
+	queue       int
 	label       string
 	merge       string
 	minGoodput  float64

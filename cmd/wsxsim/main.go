@@ -53,16 +53,16 @@ func main() {
 
 func run() (code int) {
 	var (
-		id         = flag.String("experiment", "all", "experiment id (F1..F4, C1..C10, A1..A5) or 'all'")
-		seed       = flag.Int64("seed", 42, "simulation seed")
-		parallel   = flag.Int("parallel", 1, "worker count for independent experiments (0 = all CPUs); results stay byte-identical to sequential")
-		faults     = flag.String("faults", "none", "fault profile: none, a preset (lossy, lossy30, churny, outage, chaos), or key=value CSV (drop, dup, delay, timeout, churn, rejoin, outage=FROM-TO, attempts)")
-		resil      = flag.String("resilience", "none", "discovery resilience: none, a preset (breaker, naive), or key=value CSV (breaker, threshold, cooldown, jitter, probes, attempts)")
+		id           = flag.String("experiment", "all", "experiment id (F1..F4, C1..C10, A1..A5) or 'all'")
+		seed         = flag.Int64("seed", 42, "simulation seed")
+		parallel     = flag.Int("parallel", 1, "worker count for independent experiments (0 = all CPUs); results stay byte-identical to sequential")
+		faults       = flag.String("faults", "none", "fault profile: none, a preset (lossy, lossy30, churny, outage, chaos), or key=value CSV (drop, dup, delay, timeout, churn, rejoin, outage=FROM-TO, attempts)")
+		resil        = flag.String("resilience", "none", "discovery resilience: none, a preset (breaker, naive), or key=value CSV (breaker, threshold, cooldown, jitter, probes, attempts)")
 		scenarioPath = flag.String("scenario", "", "run one scenario file (see scenarios/) through the SoA engine instead of the experiment suite")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		asJSON     = flag.Bool("json", false, "emit machine-readable JSON instead of text reports")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile, taken as the process exits, to this file")
+		list         = flag.Bool("list", false, "list experiments and exit")
+		asJSON       = flag.Bool("json", false, "emit machine-readable JSON instead of text reports")
+		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile   = flag.String("memprofile", "", "write a heap profile, taken as the process exits, to this file")
 	)
 	flag.Parse()
 

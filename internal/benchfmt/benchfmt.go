@@ -214,7 +214,7 @@ func MaxDelta(old, new Document, hot []HotPath) float64 {
 
 // Regression is one flagged >tolerance slowdown.
 type Regression struct {
-	What   string  // human-readable key
+	What   string // human-readable key
 	Old    float64
 	New    float64
 	Change float64 // fractional change, 0.25 = 25% slower
@@ -254,8 +254,8 @@ func Diff(old, new Document, hot []HotPath, tolerance float64) []Regression {
 		}
 		if change := nv/ov - 1; change > tolerance {
 			regs = append(regs, Regression{
-				What:   fmt.Sprintf("%s/%s-%d %s", r.Package, r.Name, r.Procs, h.Metric),
-				Old:    ov, New: nv, Change: change,
+				What: fmt.Sprintf("%s/%s-%d %s", r.Package, r.Name, r.Procs, h.Metric),
+				Old:  ov, New: nv, Change: change,
 			})
 		}
 	}
@@ -282,8 +282,8 @@ func Diff(old, new Document, hot []HotPath, tolerance float64) []Regression {
 			}
 			if change := op.new.P99Ms/op.old.P99Ms - 1; change > tolerance {
 				regs = append(regs, Regression{
-					What:   fmt.Sprintf("loadtest %s@%d %s p99_ms", lt.Label, lt.GOMAXPROCS, op.name),
-					Old:    op.old.P99Ms, New: op.new.P99Ms, Change: change,
+					What: fmt.Sprintf("loadtest %s@%d %s p99_ms", lt.Label, lt.GOMAXPROCS, op.name),
+					Old:  op.old.P99Ms, New: op.new.P99Ms, Change: change,
 				})
 			}
 		}

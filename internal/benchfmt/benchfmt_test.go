@@ -19,12 +19,12 @@ func TestDiffFlagsOnlyHotPathRegressions(t *testing.T) {
 		bench("./internal/registry", "SubmitMemSharded", 4, 900), // not a hot path
 	}}
 	new := Document{Benchmarks: []Result{
-		bench("./internal/core", "RankSession", 1, 1200),  // +20% → flagged
-		bench("./internal/core", "RankSession", 4, 430),   // +7.5% → within tolerance
-		bench("./internal/trust/cf", "ScorePearson", 1, 2900), // faster
-		bench(".", "SuiteSequential", 1, 5.4e9),           // +8% → within tolerance
+		bench("./internal/core", "RankSession", 1, 1200),          // +20% → flagged
+		bench("./internal/core", "RankSession", 4, 430),           // +7.5% → within tolerance
+		bench("./internal/trust/cf", "ScorePearson", 1, 2900),     // faster
+		bench(".", "SuiteSequential", 1, 5.4e9),                   // +8% → within tolerance
 		bench("./internal/registry", "SubmitMemSharded", 4, 5000), // not guarded
-		bench("./internal/core", "EngineRank", 1, 100),    // only in new → skipped
+		bench("./internal/core", "EngineRank", 1, 100),            // only in new → skipped
 	}}
 	regs := Diff(old, new, DefaultHotPaths, 0.10)
 	if len(regs) != 1 {

@@ -359,7 +359,12 @@ func Feedback(i int) core.Feedback {
 }
 
 // Holds reports whether the store contains the i-th harness record —
-// the membership side of the acked-submit survival invariant.
+// the membership side of the acked-submit survival invariant. The
+// record's consumer is unique, so its export line is found by that field.
 func Holds(st *registry.Store, i int) bool {
-	return len(st.ForConsumer(core.ConsumerID(fmt.Sprintf("chaos-c%06d", i)))) > 0
+	var buf bytes.Buffer
+	if err := st.Export(&buf); err != nil {
+		return false
+	}
+	return bytes.Contains(buf.Bytes(), fmt.Appendf(nil, `"consumer":"chaos-c%06d"`, i))
 }

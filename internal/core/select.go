@@ -331,8 +331,7 @@ func (s *RankSession) Candidates() []Candidate { return s.cands }
 // results are bit-identical to Engine.Rank on the same set. The returned
 // slice is reused by the next Rank/Select call.
 //
-//lint:hotpath the selection-loop inner call; rankInto reuses s.scratch,
-// so steady-state allocations are zero.
+//lint:hotpath the selection-loop inner call; rankInto reuses s.scratch, so steady-state allocations are zero.
 func (s *RankSession) Rank(consumer ConsumerID, prefs qos.Preferences) []Ranked {
 	if len(s.cands) == 0 {
 		return nil
@@ -345,8 +344,7 @@ func (s *RankSession) Rank(consumer ConsumerID, prefs qos.Preferences) []Ranked 
 // mirroring Engine.Select (same RNG draws, same choice). The returned
 // ranking aliases the session buffer; see Rank.
 //
-//lint:hotpath selection-loop entry point; the only allocation is the
-// empty-candidates error, which is cold.
+//lint:hotpath selection-loop entry point; the only allocation is the empty-candidates error, which is cold.
 func (s *RankSession) Select(consumer ConsumerID, prefs qos.Preferences) (Ranked, []Ranked, error) {
 	ranked := s.Rank(consumer, prefs)
 	if len(ranked) == 0 {

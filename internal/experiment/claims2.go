@@ -184,8 +184,9 @@ func C6(seed int64) (Report, error) {
 		{"central registry + beta", func(env *Env) (core.Mechanism, func() int64, error) {
 			store := registry.NewStore()
 			mech := beta.New()
-			// Central cost model: one message per submit/query to the
-			// registry; the mechanism itself is co-located with it.
+			// Central cost model: one message per submitted record to
+			// the registry; scores come from the mechanism co-located
+			// with it, so reads cost no messages.
 			return &storeBacked{store: store, inner: mech}, store.MessageCount, nil
 		}},
 		{"eigentrust (peer gossip)", func(env *Env) (core.Mechanism, func() int64, error) {

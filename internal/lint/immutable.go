@@ -9,10 +9,10 @@ import (
 )
 
 // Immutable enforces `// immutable after publish` type annotations. The
-// serving path's correctness rests on copy-on-write: registry.View, the
-// wsxd ranked snapshot, and benchfmt records are built once, published
-// through an atomic pointer (or written to disk), and then shared by
-// concurrent readers with no locking at all. That is only sound if no
+// serving path's correctness rests on copy-on-write: the wsxd ranked
+// snapshot and benchfmt records are built once, published through an
+// atomic pointer (or written to disk), and then shared by concurrent
+// readers with no locking at all. That is only sound if no
 // code path ever mutates a published value — a single in-place write is
 // a data race with every reader and, worse, a silent one: the race
 // detector only sees it when a test happens to overlap the access.

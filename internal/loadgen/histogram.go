@@ -180,4 +180,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d p50=%.2fms p90=%.2fms p95=%.2fms p99=%.2fms p99.9=%.2fms max=%.2fms",
 		s.Count, s.P50, s.P90, s.P95, s.P99, s.P999, s.Max)
 }
-

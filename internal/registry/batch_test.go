@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func batchFeedback(c, s, off int) core.Feedback {
 
 // TestSubmitBatchMatchesSequential proves a batch is observationally
 // identical to the same records submitted one by one: same length, same
-// per-service and per-pair history, same message accounting.
+// log in the same order, same message accounting.
 func TestSubmitBatchMatchesSequential(t *testing.T) {
 	batch := NewStore()
 	seqst := NewStore()
@@ -46,17 +47,8 @@ func TestSubmitBatchMatchesSequential(t *testing.T) {
 	if batch.MessageCount() != seqst.MessageCount() {
 		t.Fatalf("MessageCount: batch=%d sequential=%d", batch.MessageCount(), seqst.MessageCount())
 	}
-	for s := 0; s < 7; s++ {
-		id := core.NewServiceID(s)
-		b, q := batch.ForService(id), seqst.ForService(id)
-		if len(b) != len(q) {
-			t.Fatalf("ForService(%s): batch=%d sequential=%d", id, len(b), len(q))
-		}
-		for i := range b {
-			if b[i].Consumer != q[i].Consumer || !b[i].At.Equal(q[i].At) {
-				t.Fatalf("ForService(%s)[%d]: batch=%+v sequential=%+v", id, i, b[i], q[i])
-			}
-		}
+	if !exportsEqual(t, batch, seqst) {
+		t.Fatal("batch and sequential stores export different logs")
 	}
 }
 
@@ -80,8 +72,8 @@ func TestSubmitBatchRejectsWhole(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("rejected batch mutated the store: len=%d, want 1", s.Len())
 	}
-	if got := len(s.ForService(core.NewServiceID(1))); got != 0 {
-		t.Fatalf("rejected batch leaked %d records into a shard", got)
+	if got := len(replayed(t, s)); got != 1 {
+		t.Fatalf("rejected batch leaked %d records into the shards", got-1)
 	}
 	if err := s.SubmitBatch(nil); err != nil {
 		t.Fatalf("empty batch must be a no-op, got %v", err)
@@ -187,19 +179,23 @@ func TestSubmitBatchConcurrent(t *testing.T) {
 	if s.Len() != want {
 		t.Fatalf("Len = %d, want %d", s.Len(), want)
 	}
+	history := map[core.ConsumerID]int{}
+	for _, fb := range replayed(t, s) {
+		history[fb.Consumer]++
+	}
 	for w := 0; w < workers; w++ {
 		per := perWorker * batchLen
 		if w%2 == 1 {
 			per = perWorker
 		}
-		if got := len(s.ForConsumer(core.NewConsumerID(w))); got != per {
+		if got := history[core.NewConsumerID(w)]; got != per {
 			t.Fatalf("consumer %d history = %d records, want %d", w, got, per)
 		}
 	}
 }
 
 // TestSubmitBatchSeqOrder proves batch records receive contiguous,
-// ascending sequence numbers so the merged view preserves batch order.
+// ascending sequence numbers so the merged log preserves batch order.
 func TestSubmitBatchSeqOrder(t *testing.T) {
 	s := NewStore()
 	var fbs []core.Feedback
@@ -211,9 +207,12 @@ func TestSubmitBatchSeqOrder(t *testing.T) {
 	if err := s.SubmitBatch(fbs); err != nil {
 		t.Fatal(err)
 	}
-	got := s.ForPair(core.NewConsumerID(0), core.NewServiceID(3))
+	if seqs := sortedSeqs(s); !slices.Equal(seqs, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
+		t.Fatalf("batch seqs %v, want 1..10", seqs)
+	}
+	got := replayed(t, s)
 	if len(got) != len(fbs) {
-		t.Fatalf("ForPair = %d records, want %d", len(got), len(fbs))
+		t.Fatalf("Replay fed %d records, want %d", len(got), len(fbs))
 	}
 	for i, fb := range got {
 		if want := float64(i) / 10; fb.Ratings[core.FacetOverall] != want {

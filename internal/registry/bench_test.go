@@ -8,6 +8,7 @@ package registry
 
 import (
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -150,74 +151,6 @@ func BenchmarkSubmitDurableUnsharded(b *testing.B) {
 	})
 }
 
-// BenchmarkRatingMatrixCOW measures the satellite fix: RatingMatrix on a
-// warm view is a pointer load, where the old store rebuilt the nested maps
-// on every call (BenchmarkRatingMatrixRebuild).
-func BenchmarkRatingMatrixCOW(b *testing.B) {
-	st := NewStore()
-	for _, fb := range benchFeedback(4096) {
-		if err := st.Submit(fb); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st.RatingMatrix() // warm the view
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m := st.RatingMatrix(); len(m) == 0 {
-			b.Fatal("empty matrix")
-		}
-	}
-}
-
-func BenchmarkRatingMatrixRebuild(b *testing.B) {
-	st := NewStore()
-	inputs := benchFeedback(4096)
-	for _, fb := range inputs {
-		if err := st.Submit(fb); err != nil {
-			b.Fatal(err)
-		}
-	}
-	log := st.currentView().log
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The pre-PR6 RatingMatrix body: full nested-map rebuild per call.
-		m := make(map[core.ConsumerID]map[core.ServiceID]float64)
-		for _, fb := range log {
-			v, ok := fb.Ratings[core.FacetOverall]
-			if !ok {
-				continue
-			}
-			row := m[fb.Consumer]
-			if row == nil {
-				row = map[core.ServiceID]float64{}
-				m[fb.Consumer] = row
-			}
-			row[fb.Service] = v
-		}
-		if len(m) == 0 {
-			b.Fatal("empty matrix")
-		}
-	}
-}
-
-// BenchmarkForServiceView measures the satellite fix for Store.collect:
-// reads serve clipped slices off the view instead of copying under RLock.
-func BenchmarkForServiceView(b *testing.B) {
-	st := NewStore()
-	for _, fb := range benchFeedback(4096) {
-		if err := st.Submit(fb); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st.ForService(core.NewServiceID(1)) // warm the view
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := st.ForService(core.NewServiceID(i % 64)); len(got) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
 // bootFeedback is record i of a store shaped like the one wsxd boots in
 // the repo benchmark: 4096 consumers rating 16 services of a catalog, one
 // overall rating each, a millisecond apart.
@@ -276,6 +209,95 @@ func BenchmarkOpenReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// raceFilledStore opens a durable store and fills it with n bootFeedback
+// records from 8 concurrent writers. Racing writers leave the shard
+// segments out of sequence order, as on a live primary under load. The
+// WAL is not fsynced until Close, so commits in the timed loops cost a
+// write but no fsync.
+func raceFilledStore(b *testing.B, n int) *Store {
+	b.Helper()
+	s, _, err := Open(b.TempDir(), WALOptions{SyncEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			b.Error(err)
+		}
+	})
+	const writers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += writers {
+				if err := s.Submit(bootFeedback(i)); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return s
+}
+
+// BenchmarkFramesSince measures the primary's side of streaming
+// replication on a 65,536-record store that 8 concurrent durable writers
+// filled. A commit lands before every FramesSince call, as on a live
+// primary.
+//
+//   - stream: one Submit, then the FramesSince call that ships it.
+//   - lag: a follower 2,048 frames behind catches up in 512-frame calls.
+func BenchmarkFramesSince(b *testing.B) {
+	s := raceFilledStore(b, 1<<16)
+	next := 1 << 16
+	submit := func() {
+		if err := s.Submit(bootFeedback(next)); err != nil {
+			b.Fatal(err)
+		}
+		next++
+	}
+	b.Run("stream", func(b *testing.B) {
+		for b.Loop() {
+			submit()
+			frames, err := s.FramesSince(s.LastSeq()-1, 512)
+			if err != nil || len(frames) != 1 {
+				b.Fatalf("FramesSince shipped %d frames, err %v", len(frames), err)
+			}
+		}
+	})
+	b.Run("lag", func(b *testing.B) {
+		for b.Loop() {
+			for cur := s.LastSeq() - 2048; cur < s.LastSeq(); {
+				submit()
+				frames, err := s.FramesSince(cur, 512)
+				if err != nil || len(frames) == 0 {
+					b.Fatalf("FramesSince(%d) shipped %d frames, err %v", cur, len(frames), err)
+				}
+				cur = frames[len(frames)-1].Seq
+			}
+		}
+	})
+}
+
+// BenchmarkWriteSnapshotTo measures a replica bootstrap document of the
+// store BenchmarkFramesSince reads, one Submit after the last.
+func BenchmarkWriteSnapshotTo(b *testing.B) {
+	s := raceFilledStore(b, 1<<16)
+	next := 1 << 16
+	for b.Loop() {
+		if err := s.Submit(bootFeedback(next)); err != nil {
+			b.Fatal(err)
+		}
+		next++
+		if _, _, err := s.WriteSnapshotTo(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,8 +5,8 @@ package registry
 // frames with seq above the snapshot's lastSeq), and those bytes are
 // already on disk and checksummed. extendSnapshot builds the new
 // snapshot.wsx from them, streaming through fixed buffers and verifying as
-// it copies, instead of re-marshalling every record from the in-memory
-// view under the world lock. The memory path (buildSnapshotDoc) stays for
+// it copies, instead of re-marshalling every record from memory under the
+// world lock. The memory path (buildSnapshotDoc) stays for
 // the two cases the bytes on disk cannot serve: a failed check, where it
 // heals the rotted file, and a store whose memory no longer matches its
 // files (after Reset).

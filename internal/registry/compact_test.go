@@ -2,9 +2,12 @@ package registry
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"iter"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -49,19 +52,50 @@ func randFeedback(rng *rand.Rand, i int) core.Feedback {
 	return fb
 }
 
-// viewStale reports whether no view has been built since the store's
-// last write. A compaction that leaves a stale view stale never touched
-// it: it took the concatenating path.
-func viewStale(s *Store) bool {
-	v := s.view.Load()
-	return v == nil || v.version != s.version.Load()
+// compactsFromMemory compacts s with one record poisoned in memory only —
+// a NaN rating, which encoding/json refuses — and reports whether the
+// memory path ran: it re-encodes every record and fails on that one,
+// while the concatenating path never reads memory and succeeds. The
+// record is restored afterwards; a failed memory path leaves the files as
+// they were.
+func compactsFromMemory(t *testing.T, s *Store) bool {
+	t.Helper()
+	var r *record
+	for i := range s.shards {
+		if recs := s.shards[i].recs; len(recs) > 0 {
+			r = &recs[0]
+			break
+		}
+	}
+	if r == nil {
+		t.Fatal("no record to poison: an empty store compacts alike on both paths")
+	}
+	orig := r.fb
+	r.fb.Ratings = map[core.Facet]float64{core.FacetOverall: math.NaN()}
+	err := s.Snapshot()
+	r.fb = orig
+	var bad *json.UnsupportedValueError
+	if err != nil && !errors.As(err, &bad) {
+		t.Fatal(err)
+	}
+	return err != nil
+}
+
+// seqRecords yields recs with their sequence numbers, in slice order.
+func seqRecords(recs []record) iter.Seq2[uint64, core.Feedback] {
+	return func(yield func(uint64, core.Feedback) bool) {
+		for _, r := range recs {
+			if !yield(r.seq, r.fb) {
+				return
+			}
+		}
+	}
 }
 
 // memoryDoc is the snapshot the memory path writes for the store as it is.
 func memoryDoc(t *testing.T, s *Store) []byte {
 	t.Helper()
-	v := s.currentView()
-	doc, _, err := buildSnapshotDoc(v.log, v.seqs, s.LastSeq(), s.Marks())
+	doc, _, err := buildSnapshotDoc(seqRecords(sortedRecords(s)), s.LastSeq(), s.Marks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +163,8 @@ func (h *history) write() {
 // snapshot compacts and checks the result against the memory path.
 func (h *history) snapshot() {
 	t := h.t
-	stale := viewStale(h.s)
-	if err := h.s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if stale && !viewStale(h.s) {
-		t.Fatal("compaction rebuilt the view: it took the memory path")
+	if compactsFromMemory(t, h.s) {
+		t.Fatal("compaction re-encoded the store: it took the memory path")
 	}
 	got := readFileT(t, filepath.Join(h.dir, snapshotName))
 	if want := memoryDoc(t, h.s); !bytes.Equal(got, want) {
@@ -217,12 +247,11 @@ func historyStarts() map[string]func(t *testing.T, rng *rand.Rand, dir string) *
 		"legacy-s1": func(t *testing.T, rng *rand.Rand, dir string) *Store {
 			// A pre-checksum snapshot: "s1 <count> <lastSeq>" over the
 			// same frames, with WAL frames behind it.
-			log := make([]core.Feedback, 25)
-			seqs := make([]uint64, 25)
-			for i := range log {
-				log[i], seqs[i] = randFeedback(rng, 1000+i), uint64(i+1)
+			recs := make([]record, 25)
+			for i := range recs {
+				recs[i] = record{seq: uint64(i + 1), fb: randFeedback(rng, 1000+i)}
 			}
-			doc, facts, err := buildSnapshotDoc(log, seqs, 25, nil)
+			doc, facts, err := buildSnapshotDoc(seqRecords(recs), 25, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +347,8 @@ func historyStarts() map[string]func(t *testing.T, rng *rand.Rand, dir string) *
 // TestConcatSnapshotMatchesMemoryPath is the differential test of the two
 // compaction paths: on random histories from every kind of starting state
 // Open, SeedFromSnapshot and ResetReplica produce, the concatenated
-// snapshot equals buildSnapshotDoc over the view byte for byte.
+// snapshot equals buildSnapshotDoc over the records sorted by sequence
+// number byte for byte.
 func TestConcatSnapshotMatchesMemoryPath(t *testing.T) {
 	for name, start := range historyStarts() {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -338,14 +368,11 @@ func TestConcatSnapshotMatchesMemoryPath(t *testing.T) {
 // reopened store.
 func reencodes(t *testing.T, s *Store, dir string) *Store {
 	t.Helper()
-	if !viewStale(s) {
-		t.Fatal("view fresh before compaction")
+	if !compactsFromMemory(t, s) {
+		t.Fatal("the files were extended instead of re-encoded from memory")
 	}
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
-	}
-	if viewStale(s) {
-		t.Fatal("the files were extended instead of re-encoded from memory")
 	}
 	if got, want := readFileT(t, filepath.Join(dir, snapshotName)), memoryDoc(t, s); !bytes.Equal(got, want) {
 		t.Fatalf("snapshot differs from the memory path:\n got %.300q\nwant %.300q", got, want)
@@ -415,10 +442,7 @@ func TestCompactionHealsDamagedFiles(t *testing.T) {
 			}
 			// Healed: the next compaction concatenates again.
 			submitN(t, re, 56, 60)
-			if err := re.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			if !viewStale(re) {
+			if compactsFromMemory(t, re) {
 				t.Fatal("compaction after healing still took the memory path")
 			}
 			if err := re.Close(); err != nil {
@@ -513,10 +537,7 @@ func TestResetThenSnapshotWritesResetState(t *testing.T) {
 	// Memory and files agree again: the next compaction concatenates,
 	// from the facts the memory path recorded.
 	submitN(t, s, 103, 105)
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if !viewStale(s) {
+	if compactsFromMemory(t, s) {
 		t.Fatal("compaction after the post-Reset snapshot took the memory path")
 	}
 	if got, want := readFileT(t, filepath.Join(dir, snapshotName)), memoryDoc(t, s); !bytes.Equal(got, want) {

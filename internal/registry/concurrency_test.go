@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"errors"
+	"io"
 	"sync"
 	"testing"
 
@@ -38,9 +40,17 @@ func TestConcurrentSubmitAndQuery(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				_ = st.ForService(core.NewServiceID(i % 10))
-				_ = st.RatingMatrix()
-				_ = st.Services()
+				if _, err := st.FramesSince(uint64(i), 16); err != nil && !errors.Is(err, ErrHorizon) {
+					t.Error(err)
+				}
+				if i%20 == 0 {
+					if err := st.Export(io.Discard); err != nil {
+						t.Error(err)
+					}
+					if _, _, err := st.WriteSnapshotTo(io.Discard); err != nil {
+						t.Error(err)
+					}
+				}
 			}
 		}()
 	}

@@ -90,14 +90,16 @@ func marshalRecord(fb core.Feedback) ([]byte, error) {
 }
 
 // Export writes the full feedback log as line-delimited JSON, in
-// submission (sequence) order. It reads the copy-on-write view, so no
-// copy is taken and concurrent submits are not blocked.
+// submission (sequence) order. It merges the shard segments (bySeq), so
+// concurrent submits are not blocked.
 func (s *Store) Export(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for i, fb := range s.currentView().log {
+	i := 0
+	for _, fb := range s.bySeq() {
 		if err := enc.Encode(toRecord(fb)); err != nil {
 			return fmt.Errorf("registry: export record %d: %w", i, err)
 		}
+		i++
 	}
 	return nil
 }
@@ -130,12 +132,9 @@ func (s *Store) Import(r io.Reader) (int, error) {
 
 // Replay feeds every stored feedback into a mechanism, in submission
 // (sequence) order — rebuilding a reputation state from a persisted log.
-// It merges the shard segments itself rather than reading the
-// copy-on-write view, so a boot that only replays into a mechanism never
-// builds the view; the first read that needs one does.
 func (s *Store) Replay(mech core.Mechanism) (int, error) {
 	n := 0
-	for fb := range s.bySeq() {
+	for _, fb := range s.bySeq() {
 		if err := mech.Submit(fb); err != nil {
 			return n, fmt.Errorf("registry: replay record %d: %w", n, err)
 		}

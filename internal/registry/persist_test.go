@@ -48,11 +48,10 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("imported %d, len %d", n, dst.Len())
 	}
 	// Spot-check full fidelity on one record.
-	got := dst.ForPair(core.NewConsumerID(7), core.NewServiceID(1))
-	if len(got) != 1 {
-		t.Fatalf("pair lookup = %d records", len(got))
+	fb := replayed(t, dst)[7]
+	if fb.Consumer != core.NewConsumerID(7) || fb.Service != core.NewServiceID(1) {
+		t.Fatalf("record 7 is %s/%s", fb.Consumer, fb.Service)
 	}
-	fb := got[0]
 	if fb.Provider != core.NewProviderID(1) || fb.Context != "weather" {
 		t.Fatalf("identity fields lost: %+v", fb)
 	}
@@ -62,14 +61,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if !fb.Observed.Success || !fb.At.Equal(simclock.Epoch.Add(7*time.Minute)) {
 		t.Fatalf("metadata lost: %+v", fb)
 	}
-	// Matrices agree.
-	a, b := src.RatingMatrix(), dst.RatingMatrix()
-	for c, row := range a {
-		for s, v := range row {
-			if b[c][s] != v {
-				t.Fatalf("matrix mismatch at %s/%s", c, s)
-			}
-		}
+	if !exportsEqual(t, src, dst) {
+		t.Fatal("re-export differs from the export")
 	}
 }
 

@@ -1,29 +1,30 @@
 // Package registry implements the paper's central QoS registry (Figure 2):
 // "a central node used to collect and store QoS information in a web
 // service system". Consumers report feedback after consuming services; the
-// centralized trust and reputation mechanisms (eBay, Sporas/Histos,
-// collaborative filtering, Liu-Ngu-Zeng, Maximilien-Singh, Day) query it to
-// compute ratings.
+// registry keeps it in submission order, and Replay feeds that log to a
+// centralized trust and reputation mechanism (eBay, Sporas/Histos,
+// collaborative filtering, Liu-Ngu-Zeng, Maximilien-Singh, Day), which
+// computes ratings from what it is fed.
 //
-// The registry also keeps communication accounting (one message per submit
-// and per query) so experiments F2 and C6 can compare the centralized
+// The registry also keeps communication accounting (one message per
+// submitted record) so experiments F2 and C6 can compare the centralized
 // design's costs against decentralized alternatives.
 //
 // Concurrency architecture (PR 6): the write path is sharded — records land
 // in one of shardCount lock-striped log segments chosen by a hash of the
 // service key, so concurrent Submits for different services never contend.
-// A global atomic sequence number stamps every record; all read APIs serve
-// from an immutable copy-on-write View (see view.go) assembled by merging
-// the shard segments in sequence order, so queries are deterministic and
-// never take a write lock. The view is built on the first read that needs
-// it; Replay merges the segments itself, so a boot that only replays into
-// a mechanism never builds it. Durable stores batch concurrent Submits
-// into WAL group commits (see wal.go) amortizing one fsync across the
-// batch.
+// A global atomic sequence number stamps every record. Every ordered read
+// (Replay, Export, FramesSince, WriteSnapshotTo, memory-path compaction)
+// merges the shard segments by sequence number (bySeq), reading the
+// append-only region of each segment without holding its lock. Durable
+// stores batch concurrent Submits into WAL group commits (see wal.go)
+// amortizing one fsync across the batch.
 package registry
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -38,19 +39,14 @@ const shardCount = 16
 
 // Store is the central QoS registry. The zero value is unusable; build
 // with NewStore (in-memory) or Open (durable, WAL-backed). Store is safe
-// for concurrent use: writers stripe across shards, readers serve from an
-// immutable copy-on-write view.
+// for concurrent use: writers stripe across shards, and readers merge the
+// shard segments without blocking them.
 type Store struct {
 	shards [shardCount]shard
 
 	seq      atomic.Uint64 // last assigned record sequence number
 	count    atomic.Int64  // live records across all shards
-	version  atomic.Uint64 // bumped on every mutation; staleness hint for the view
-	gen      atomic.Uint64 // bumped on Reset; invalidates incremental view reuse
-	messages atomic.Int64  // cumulative submits + queries (communication cost)
-
-	view   atomic.Pointer[View]
-	viewMu sync.Mutex // serializes view refreshes (see currentView)
+	messages atomic.Int64  // cumulative submitted records (communication cost)
 
 	// state is the world lock: Submit holds it shared for its whole span
 	// (WAL commit + shard apply), while Snapshot, Sync, Reset and Close
@@ -76,7 +72,8 @@ type Store struct {
 
 // shard is one lock stripe of the store: an append-only segment of
 // sequence-stamped records. A service's records all land in the shard of
-// its service key; the indexes reads use live in the View.
+// its service key. Concurrent writers can append out of sequence order:
+// a record's shard apply may land after that of a later sequence number.
 type shard struct {
 	mu   sync.RWMutex
 	recs []record // guarded by mu
@@ -86,11 +83,6 @@ type shard struct {
 type record struct {
 	seq uint64
 	fb  core.Feedback
-}
-
-type pairKey struct {
-	consumer core.ConsumerID
-	service  core.ServiceID
 }
 
 // shardFor hashes the service key (FNV-1a) onto a stripe. Sharding by
@@ -147,7 +139,6 @@ func (s *Store) Submit(fb core.Feedback) error {
 	sh.mu.Unlock()
 	s.count.Add(1)
 	s.messages.Add(1)
-	s.version.Add(1)
 	compact := s.wal != nil && s.wal.shouldCompact()
 	s.state.RUnlock()
 	s.notifyCommit()
@@ -210,7 +201,6 @@ func (s *Store) SubmitBatch(fbs []core.Feedback) error {
 	}
 	s.count.Add(int64(len(fbs)))
 	s.messages.Add(int64(len(fbs)))
-	s.version.Add(1)
 	compact := s.wal != nil && s.wal.shouldCompact()
 	s.state.RUnlock()
 	s.notifyCommit()
@@ -244,7 +234,6 @@ func (s *Store) applyRecovered(seq uint64, fb core.Feedback) bool {
 	sh.mu.Unlock()
 	s.seq.Store(seq)
 	s.count.Add(1)
-	s.version.Add(1)
 	return true
 }
 
@@ -268,80 +257,85 @@ func (s *Store) reserve(batches ...[]snapFrame) {
 // Len reports the number of stored feedback records.
 func (s *Store) Len() int { return int(s.count.Load()) }
 
-// MessageCount reports cumulative messages (submits + queries), the
+// MessageCount reports cumulative messages, one per submitted record: the
 // centralized system's communication cost.
 func (s *Store) MessageCount() int64 { return s.messages.Load() }
 
-// countQuery bumps the message counter for a read.
-func (s *Store) countQuery() { s.messages.Add(1) }
-
-// ForService returns all feedback about the service in submission order.
-// The returned slice is a shared, immutable view — treat it as read-only
-// (appending is safe: capacity is clipped).
-//
-//lint:hotpath per-request accessor: a map lookup on the current view, no allocation
-func (s *Store) ForService(id core.ServiceID) []core.Feedback {
-	s.countQuery()
-	return clip(s.currentView().byService[id])
+// segments captures every shard segment as it stands. The records below a
+// captured length never change, so callers read them without the lock.
+func (s *Store) segments() [shardCount][]record {
+	var segs [shardCount][]record
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		segs[i] = sh.recs[:len(sh.recs):len(sh.recs)]
+		sh.mu.RUnlock()
+	}
+	return segs
 }
 
-// ForConsumer returns all feedback submitted by the consumer in order.
-// The returned slice is shared and read-only, as in ForService.
-//
-//lint:hotpath per-request accessor, as ForService
-func (s *Store) ForConsumer(id core.ConsumerID) []core.Feedback {
-	s.countQuery()
-	return clip(s.currentView().byConsumer[id])
-}
-
-// ForPair returns the feedback consumer has submitted about service.
-// The returned slice is shared and read-only, as in ForService.
-//
-//lint:hotpath per-request accessor, as ForService
-func (s *Store) ForPair(consumer core.ConsumerID, service core.ServiceID) []core.Feedback {
-	s.countQuery()
-	return clip(s.currentView().byPair[pairKey{consumer, service}])
-}
-
-// Services returns the distinct rated services, sorted. The slice is
-// shared and read-only, as in ForService.
-func (s *Store) Services() []core.ServiceID {
-	return clip(s.currentView().services)
-}
-
-// Consumers returns the distinct raters, sorted. The slice is shared and
-// read-only, as in ForService.
-func (s *Store) Consumers() []core.ConsumerID {
-	return clip(s.currentView().consumers)
-}
-
-// RatingMatrix returns the consumer × service matrix of overall ratings —
-// the input collaborative filtering works on. When a consumer rated a
-// service several times the most recent rating wins, honouring the paper's
-// "new experiences are more important than old ones". The matrix is the
-// copy-on-write view's own (rebuilt incrementally, never in place): treat
-// it as read-only.
-//
-//lint:hotpath per-request accessor: hands out the view's prebuilt matrix
-func (s *Store) RatingMatrix() map[core.ConsumerID]map[core.ServiceID]float64 {
-	s.countQuery()
-	return s.currentView().matrix
-}
-
-// FacetSeries returns the chronological values of one facet rating for a
-// service, across all consumers.
-//
-//lint:hotpath feeds trend scoring per ranked service; one sized allocation
-func (s *Store) FacetSeries(id core.ServiceID, facet core.Facet) []float64 {
-	s.countQuery()
-	series := s.currentView().byService[id]
-	out := make([]float64, 0, len(series))
-	for _, fb := range series {
-		if v, ok := fb.Ratings[facet]; ok {
-			out = append(out, v)
+// bySeq yields the store's records with their sequence numbers, in
+// sequence order, merged from the shard segments present when iteration
+// starts. A segment that a racing writer left out of order is walked
+// through seqOrder's index rather than a sorted copy of its records.
+func (s *Store) bySeq() iter.Seq2[uint64, core.Feedback] {
+	return func(yield func(uint64, core.Feedback) bool) {
+		curs := make([]segCursor, 0, shardCount)
+		for _, seg := range s.segments() {
+			if len(seg) > 0 {
+				curs = append(curs, segCursor{recs: seg, order: seqOrder(seg)})
+			}
+		}
+		for len(curs) > 0 {
+			m := 0
+			for i := 1; i < len(curs); i++ {
+				if curs[i].head().seq < curs[m].head().seq {
+					m = i
+				}
+			}
+			r := curs[m].head()
+			if !yield(r.seq, r.fb) {
+				return
+			}
+			if curs[m].next++; curs[m].next == len(curs[m].recs) {
+				curs = slices.Delete(curs, m, m+1)
+			}
 		}
 	}
-	return out
+}
+
+// segCursor walks one shard segment in sequence order.
+type segCursor struct {
+	recs  []record
+	order []int32 // recs' indexes in sequence order; nil if recs already is
+	next  int     // records walked so far
+}
+
+// head is the record with the lowest sequence number not yet walked.
+func (c *segCursor) head() *record {
+	if c.order != nil {
+		return &c.recs[c.order[c.next]]
+	}
+	return &c.recs[c.next]
+}
+
+// seqOrder returns nil for a segment in sequence order, and otherwise the
+// indexes of its records sorted by sequence number. A segment holds far
+// fewer than 2^31 records.
+func seqOrder(seg []record) []int32 {
+	i := 1
+	for i < len(seg) && seg[i-1].seq < seg[i].seq {
+		i++
+	}
+	if i >= len(seg) {
+		return nil
+	}
+	order := make([]int32, len(seg))
+	for k := range order {
+		order[k] = int32(k)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(seg[a].seq, seg[b].seq) })
+	return order
 }
 
 // Reset clears all stored in-memory feedback but keeps the message
@@ -361,11 +355,5 @@ func (s *Store) Reset() {
 		sh.mu.Unlock()
 	}
 	s.count.Store(0)
-	s.gen.Add(1)
-	s.version.Add(1)
 	s.notifyCommit()
 }
-
-// clip caps the slice at its length so a caller's append cannot write into
-// the view's shared backing array.
-func clip[T any](s []T) []T { return s[:len(s):len(s)] }

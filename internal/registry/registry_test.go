@@ -1,11 +1,11 @@
 package registry
 
 import (
+	"io"
 	"testing"
 	"time"
 
 	"wstrust/internal/core"
-	"wstrust/internal/qos"
 	"wstrust/internal/simclock"
 )
 
@@ -33,17 +33,18 @@ func TestSubmitAndQuery(t *testing.T) {
 	if st.Len() != 3 {
 		t.Fatalf("Len = %d", st.Len())
 	}
-	if got := st.ForService("s001"); len(got) != 2 || got[0].Consumer != "c001" {
-		t.Fatalf("ForService = %+v", got)
+	got := replayed(t, st)
+	want := []struct {
+		c core.ConsumerID
+		s core.ServiceID
+	}{{"c001", "s001"}, {"c002", "s001"}, {"c001", "s002"}}
+	if len(got) != len(want) {
+		t.Fatalf("Replay fed %d records, want %d", len(got), len(want))
 	}
-	if got := st.ForConsumer("c001"); len(got) != 2 || got[1].Service != "s002" {
-		t.Fatalf("ForConsumer = %+v", got)
-	}
-	if got := st.ForPair("c001", "s001"); len(got) != 1 {
-		t.Fatalf("ForPair = %+v", got)
-	}
-	if got := st.ForPair("c009", "s001"); len(got) != 0 {
-		t.Fatalf("ForPair unknown = %+v", got)
+	for i, w := range want {
+		if got[i].Consumer != w.c || got[i].Service != w.s {
+			t.Fatalf("record %d = %s/%s, want %s/%s", i, got[i].Consumer, got[i].Service, w.c, w.s)
+		}
 	}
 }
 
@@ -58,52 +59,25 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestServicesAndConsumersSorted(t *testing.T) {
-	st := NewStore()
-	_ = st.Submit(fb("c002", "s002", 1, simclock.Epoch))
-	_ = st.Submit(fb("c001", "s001", 1, simclock.Epoch))
-	svcs, cons := st.Services(), st.Consumers()
-	if svcs[0] != "s001" || svcs[1] != "s002" {
-		t.Fatalf("Services = %v", svcs)
-	}
-	if cons[0] != "c001" || cons[1] != "c002" {
-		t.Fatalf("Consumers = %v", cons)
-	}
-}
-
-func TestRatingMatrixLatestWins(t *testing.T) {
-	st := NewStore()
-	_ = st.Submit(fb("c001", "s001", 0.2, simclock.Epoch))
-	_ = st.Submit(fb("c001", "s001", 0.8, simclock.Epoch.Add(time.Hour)))
-	m := st.RatingMatrix()
-	if got := m["c001"]["s001"]; got != 0.8 {
-		t.Fatalf("matrix entry = %g, want latest 0.8", got)
-	}
-}
-
-func TestFacetSeries(t *testing.T) {
-	st := NewStore()
-	f := fb("c001", "s001", 0.5, simclock.Epoch)
-	f.Ratings[qos.Accuracy] = 0.4
-	_ = st.Submit(f)
-	f2 := fb("c002", "s001", 0.5, simclock.Epoch)
-	f2.Ratings[qos.Accuracy] = 0.6
-	_ = st.Submit(f2)
-	_ = st.Submit(fb("c003", "s001", 0.5, simclock.Epoch)) // no accuracy facet
-	got := st.FacetSeries("s001", qos.Accuracy)
-	if len(got) != 2 || got[0] != 0.4 || got[1] != 0.6 {
-		t.Fatalf("FacetSeries = %v", got)
-	}
-}
-
+// TestMessageAccounting: the registry counts one message per submitted
+// record, whether alone or in a batch; reading the log costs none.
 func TestMessageAccounting(t *testing.T) {
 	st := NewStore()
 	_ = st.Submit(fb("c001", "s001", 1, simclock.Epoch))
-	before := st.MessageCount()
-	st.ForService("s001")
-	st.RatingMatrix()
-	if got := st.MessageCount(); got != before+2 {
-		t.Fatalf("MessageCount = %d, want %d", got, before+2)
+	_ = st.SubmitBatch([]core.Feedback{fb("c002", "s001", 1, simclock.Epoch), fb("c003", "s002", 1, simclock.Epoch)})
+	if got := st.MessageCount(); got != 3 {
+		t.Fatalf("MessageCount = %d after 3 submitted records", got)
+	}
+	replayed(t, st)
+	exportOf(t, st)
+	if _, err := st.FramesSince(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.WriteSnapshotTo(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.MessageCount(); got != 3 {
+		t.Fatalf("MessageCount = %d after reads, want 3", got)
 	}
 }
 
@@ -118,7 +92,7 @@ func TestResetKeepsMessages(t *testing.T) {
 	if st.MessageCount() != msgs {
 		t.Fatal("Reset cleared message accounting")
 	}
-	if got := st.ForService("s001"); len(got) != 0 {
-		t.Fatalf("post-reset ForService = %+v", got)
+	if got := exportOf(t, st); len(got) != 0 {
+		t.Fatalf("post-reset export = %s", got)
 	}
 }

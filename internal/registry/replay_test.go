@@ -40,12 +40,43 @@ func replayed(t *testing.T, s *Store) []core.Feedback {
 	return r.got
 }
 
-// viewPath is what the view path fed a mechanism before Replay merged the
-// shard segments itself: the view's log, every record decoded by
-// encoding/json.
+// sortedRecords is the test-side reference for the store's ordered reads:
+// every shard record, sorted by sequence number.
+func sortedRecords(s *Store) []record {
+	var all []record
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		all = append(all, sh.recs...)
+		sh.mu.RUnlock()
+	}
+	slices.SortFunc(all, func(a, b record) int { return cmp.Compare(a.seq, b.seq) })
+	return all
+}
+
+// sortedLog is the feedback of sortedRecords, and sortedSeqs their
+// sequence numbers.
+func sortedLog(s *Store) []core.Feedback {
+	var log []core.Feedback
+	for _, r := range sortedRecords(s) {
+		log = append(log, r.fb)
+	}
+	return log
+}
+
+func sortedSeqs(s *Store) []uint64 {
+	var seqs []uint64
+	for _, r := range sortedRecords(s) {
+		seqs = append(seqs, r.seq)
+	}
+	return seqs
+}
+
+// viewPath is the reference Open + Replay must match: every record sorted
+// by sequence number and decoded by encoding/json.
 func viewPath(t *testing.T, s *Store) []core.Feedback {
 	t.Helper()
-	log := s.currentView().log
+	log := sortedLog(s)
 	out := make([]core.Feedback, len(log))
 	for i, fb := range log {
 		var err error
@@ -58,25 +89,18 @@ func viewPath(t *testing.T, s *Store) []core.Feedback {
 
 // bootMatchesViewPath reopens the store and checks that Open + Replay
 // feeds a mechanism exactly the records, in exactly the order, the view
-// path fed it before the reopen, and that neither Open nor Replay built
-// the view.
+// path fed it before the reopen.
 func bootMatchesViewPath(t *testing.T, h *history, reopen func()) {
 	t.Helper()
 	want := viewPath(t, h.s)
 	reopen()
-	if h.s.view.Load() != nil {
-		t.Fatal("Open built the view")
-	}
 	got := replayed(t, h.s)
-	if h.s.view.Load() != nil {
-		t.Fatal("Replay built the view")
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Open + Replay fed %d records, the view path %d; first difference at %d",
 			len(got), len(want), firstDiff(got, want))
 	}
-	if log := h.s.currentView().log; !reflect.DeepEqual(got, log) {
-		t.Fatal("Replay order differs from the reopened store's view")
+	if log := sortedLog(h.s); !reflect.DeepEqual(got, log) {
+		t.Fatal("Replay order differs from the reopened store's sequence order")
 	}
 }
 
@@ -93,7 +117,8 @@ func firstDiff(a, b []core.Feedback) int {
 // path: on random histories from fresh, legacy-s1, corrupt-snapshot,
 // seeded and reset-replica starts, each reopen — plain or over frames the
 // snapshot covers — feeds a mechanism the same records in the same order
-// as the view path with encoding/json did.
+// as the view path with encoding/json did: every record sorted by
+// sequence number and decoded by encoding/json.
 func TestOpenReplayMatchesViewPath(t *testing.T) {
 	for name, start := range historyStarts() {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -101,8 +126,8 @@ func TestOpenReplayMatchesViewPath(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				dir := t.TempDir()
 				h := &history{t: t, rng: rng, dir: dir, s: start(t, rng, dir), next: 10000}
-				if got, want := replayed(t, h.s), h.s.currentView().log; !reflect.DeepEqual(got, want) {
-					t.Fatal("Replay of the start state differs from its view")
+				if got, want := replayed(t, h.s), sortedLog(h.s); !reflect.DeepEqual(got, want) {
+					t.Fatal("Replay of the start state differs from its sequence order")
 				}
 				for i := 0; i < 12; i++ {
 					h.write()
@@ -136,8 +161,7 @@ func TestOpenReplayMatchesViewPath(t *testing.T) {
 
 // TestReplayOrdersOutOfOrderSegments: a racing writer can leave a shard
 // segment out of sequence order, its apply landing after a later
-// sequence number's. Replay still feeds the records in sequence order,
-// the order of the view's log.
+// sequence number's. Replay still feeds the records in sequence order.
 func TestReplayOrdersOutOfOrderSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 300
@@ -151,7 +175,6 @@ func TestReplayOrdersOutOfOrderSegments(t *testing.T) {
 		sh.apply(uint64(i+1), fb)
 		sh.mu.Unlock()
 		s.count.Add(1)
-		s.version.Add(1)
 	}
 	s.seq.Store(n)
 	sorted := 0
@@ -168,15 +191,12 @@ func TestReplayOrdersOutOfOrderSegments(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Replay fed records out of sequence order; first difference at %d", firstDiff(got, want))
 	}
-	if v := s.currentView(); !reflect.DeepEqual(got, v.log) {
-		t.Fatal("Replay order differs from the view's log")
-	}
 }
 
 // TestReplayDuringSubmits: Replay reads the shard segments while writers
 // append to them (run it under -race). No pass feeds more records than
 // were written, and once the writers are done Replay feeds exactly the
-// view's log.
+// records in sequence order.
 func TestReplayDuringSubmits(t *testing.T) {
 	s := NewStore()
 	const writers, each = 4, 200
@@ -201,8 +221,8 @@ func TestReplayDuringSubmits(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got, want := replayed(t, s), s.currentView().log; len(got) != writers*each || !reflect.DeepEqual(got, want) {
-		t.Fatalf("after the writers, Replay fed %d records, not the view's %d", len(got), len(want))
+	if got, want := replayed(t, s), sortedLog(s); len(got) != writers*each || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the writers, Replay fed %d records, not the %d held", len(got), len(want))
 	}
 }
 
@@ -235,7 +255,7 @@ func TestRecoverySkipsDuplicateFrame(t *testing.T) {
 	if got, want := readFileT(t, filepath.Join(dir, snapshotName)), memoryDoc(t, s); !bytes.Equal(got, want) {
 		t.Fatalf("snapshot after a duplicated frame:\n got %q\nwant %q", got, want)
 	}
-	if seqs := s.currentView().seqs; !slices.Equal(seqs, []uint64{1, 2, 3}) {
+	if seqs := sortedSeqs(s); !slices.Equal(seqs, []uint64{1, 2, 3}) {
 		t.Fatalf("recovered seqs %v, want [1 2 3]", seqs)
 	}
 	want := exportOf(t, s)
@@ -248,7 +268,7 @@ func TestRecoverySkipsDuplicateFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if !slices.Equal(re.currentView().seqs, []uint64{1, 2, 3}) || !bytes.Equal(exportOf(t, re), want) || rec.SkippedRecords != 0 {
-		t.Fatalf("reopened to seqs %v (%s)", re.currentView().seqs, rec)
+	if !slices.Equal(sortedSeqs(re), []uint64{1, 2, 3}) || !bytes.Equal(exportOf(t, re), want) || rec.SkippedRecords != 0 {
+		t.Fatalf("reopened to seqs %v (%s)", sortedSeqs(re), rec)
 	}
 }

@@ -15,13 +15,14 @@ package registry
 // as diverged and must re-seed from a snapshot. The marks are tiny
 // (one line per promotion, ever) and shipped alongside the stream.
 //
-// The read side — FramesSince, WriteSnapshotTo — serves from the immutable
-// copy-on-write View, so shipping frames never blocks or locks the write
+// The read side — FramesSince, WriteSnapshotTo — reads the shard segments
+// without holding their locks, so shipping frames never blocks the write
 // path. Updates exposes a channel-close broadcast that fires on every
 // commit, letting a streamer block for "new frames" without polling.
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -29,7 +30,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -352,47 +353,51 @@ func (s *Store) notifyCommit() {
 	close(ch)
 }
 
-// FramesSince returns up to max committed frames with sequence numbers
-// > after, in order, rendered from the copy-on-write view (no locks on the
-// write path). An empty result means the caller is caught up; ErrHorizon
+// FramesSince returns up to limit committed frames with sequence numbers
+// > after, in order, read from the shard segments without blocking the
+// write path. An empty result means the caller is caught up; ErrHorizon
 // means after predates the in-memory log (possible after an experiment
 // Reset) and the caller must bootstrap from a snapshot.
-func (s *Store) FramesSince(after uint64, max int) ([]Frame, error) {
-	if max <= 0 {
-		max = 1 << 9
+//
+// Only the contiguous run starting exactly at the cursor ships. A racing
+// writer's shard apply can land after a later sequence number's, so the
+// segments may hold seq k+1 without seq k for a moment; the missing
+// record's commit broadcast wakes the stream again shortly.
+func (s *Store) FramesSince(after uint64, limit int) ([]Frame, error) {
+	if limit <= 0 {
+		limit = 1 << 9
 	}
-	v := s.currentView()
-	if after >= v.maxSeq {
+	// Take from each segment only the seqs in (after, after+limit], noting
+	// the lowest and highest seq held for the caught-up and horizon checks.
+	first, last := ^uint64(0), uint64(0)
+	var window []*record
+	for _, seg := range s.segments() {
+		for i := range seg {
+			seq := seg[i].seq
+			first, last = min(first, seq), max(last, seq)
+			if seq > after && seq-after <= uint64(limit) {
+				window = append(window, &seg[i])
+			}
+		}
+	}
+	if after >= last {
 		return nil, nil
 	}
-	if len(v.seqs) == 0 || after+1 < v.seqs[0] {
+	if after+1 < first {
 		return nil, fmt.Errorf("%w: cursor %d predates the in-memory log", ErrHorizon, after)
 	}
-	// The view may hold sequence gaps: a racing writer's shard apply can
-	// land after the view build collected its shard, so position i does
-	// NOT imply sequence base+i+1. Ship only the contiguous run starting
-	// exactly at the cursor; a gap at or past the cursor means the missing
-	// record's commit broadcast will wake the stream again shortly.
-	start := sort.Search(len(v.seqs), func(i int) bool { return v.seqs[i] > after })
-	if start == len(v.seqs) || v.seqs[start] != after+1 {
-		return nil, nil
-	}
-	end := len(v.seqs)
-	if end-start > max {
-		end = start + max
-	}
+	slices.SortFunc(window, func(a, b *record) int { return cmp.Compare(a.seq, b.seq) })
 	marks := s.Marks()
-	frames := make([]Frame, 0, end-start)
-	for i := start; i < end; i++ {
-		seq := v.seqs[i]
-		if seq != after+1+uint64(i-start) {
-			break // gap: stop at the contiguous prefix
+	frames := make([]Frame, 0, len(window))
+	for i, r := range window {
+		if r.seq != after+1+uint64(i) {
+			break // gap: stop at the contiguous run from the cursor
 		}
-		payload, err := marshalRecord(v.log[i])
+		payload, err := marshalRecord(r.fb)
 		if err != nil {
 			return nil, fmt.Errorf("registry: encode frame: %w", err)
 		}
-		frames = append(frames, Frame{Epoch: epochAt(marks, seq), Seq: seq, Payload: payload})
+		frames = append(frames, Frame{Epoch: epochAt(marks, r.seq), Seq: r.seq, Payload: payload})
 	}
 	return frames, nil
 }
@@ -453,7 +458,6 @@ func (s *Store) ApplyReplicated(frames []Frame) ([]core.Feedback, error) {
 		sh.mu.Unlock()
 	}
 	s.count.Add(int64(len(fbs)))
-	s.version.Add(1)
 	compact := s.wal != nil && s.wal.shouldCompact()
 	s.state.RUnlock()
 	s.notifyCommit()
@@ -465,37 +469,28 @@ func (s *Store) ApplyReplicated(frames []Frame) ([]core.Feedback, error) {
 
 // WriteSnapshotTo streams the store's full state in the checksummed
 // snapshot document format — the payload of a replica bootstrap transfer.
-// It reads the copy-on-write view, so concurrent submits are not blocked;
-// the document is consistent as of the view (records and lastSeq agree).
+// It merges the shard segments (bySeq), so concurrent submits are not
+// blocked. The document stops at the first sequence gap: a racing
+// writer's shard apply may not have landed yet, and the follower streams
+// whatever the document leaves out. Its lastSeq is the last record's.
 func (s *Store) WriteSnapshotTo(w io.Writer) (records int, lastSeq uint64, err error) {
-	v := s.currentView()
-	// Clip to the view's contiguous prefix: a racing writer's shard apply
-	// may not have landed yet, leaving a sequence gap that the document's
-	// positional encoding would mislabel. The follower streams whatever
-	// the clip leaves out.
-	log, seqs := v.log, v.seqs
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] != seqs[i-1]+1 {
-			log, seqs = log[:i], seqs[:i]
-			break
+	prefix := func(yield func(uint64, core.Feedback) bool) {
+		prev := uint64(0) // no record has sequence number 0
+		for seq, fb := range s.bySeq() {
+			if (prev != 0 && seq != prev+1) || !yield(seq, fb) {
+				return
+			}
+			prev = seq
 		}
 	}
-	last := v.maxSeq
-	if n := len(seqs); n > 0 {
-		last = seqs[n-1]
-	} else if len(v.log) > 0 {
-		// log without seqs cannot be encoded faithfully; empty document.
-		log = nil
-		last = 0
-	}
-	doc, _, err := buildSnapshotDoc(log, seqs, last, s.Marks())
+	doc, facts, err := buildSnapshotDoc(prefix, 0, s.Marks())
 	if err != nil {
 		return 0, 0, fmt.Errorf("registry: snapshot transfer: %w", err)
 	}
 	if _, err := w.Write(doc); err != nil {
 		return 0, 0, fmt.Errorf("registry: snapshot transfer: %w", err)
 	}
-	return len(log), last, nil
+	return facts.count, facts.lastSeq, nil
 }
 
 // SeedFromSnapshot bootstraps an empty store from a snapshot document (as
@@ -549,7 +544,6 @@ func (s *Store) SeedFromSnapshot(data []byte) (int, error) {
 	if facts.lastSeq > s.seq.Load() {
 		s.seq.Store(facts.lastSeq)
 	}
-	s.version.Add(1)
 	s.state.Unlock()
 	s.notifyCommit()
 	return n, nil
@@ -574,8 +568,6 @@ func (s *Store) ResetReplica() error {
 	}
 	s.count.Store(0)
 	s.seq.Store(0)
-	s.gen.Add(1)
-	s.version.Add(1)
 	if s.wal != nil {
 		s.snap = snapFacts{}
 		if err := s.wal.f.Truncate(0); err != nil {

@@ -2,10 +2,17 @@ package registry
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
+
+	"wstrust/internal/core"
 )
 
 // frameFor renders record i as the wire frame (epoch, seq) — the shape a
@@ -206,6 +213,129 @@ func TestFramesSinceAndUpdates(t *testing.T) {
 	}
 }
 
+// sameFrames reports whether two frame lists match frame for frame.
+func sameFrames(a, b []Frame) bool {
+	return slices.EqualFunc(a, b, func(x, y Frame) bool {
+		return x.Epoch == y.Epoch && x.Seq == y.Seq && bytes.Equal(x.Payload, y.Payload)
+	})
+}
+
+// TestOutOfOrderGappedSegments: racing writers leave shard segments out
+// of sequence order, and a sequence number stays missing until its
+// writer's shard apply lands. The test builds that state directly —
+// records 1..n but one, appended to their segments in a shuffled order —
+// and checks every ordered read: FramesSince ships exactly the
+// contiguous run from each cursor, WriteSnapshotTo stops at the gap,
+// Export and Replay come out in sequence order. It then covers
+// ErrHorizon after a Reset.
+func TestOutOfOrderGappedSegments(t *testing.T) {
+	const n, gap = 60, 37
+	rng := rand.New(rand.NewSource(7))
+	s := NewStore()
+	marks := []EpochMark{{Epoch: 1, Start: 20}}
+	if err := s.InstallMarks(marks); err != nil {
+		t.Fatal(err)
+	}
+	var fbs []core.Feedback
+	var want []Frame // every record but the gap's, in sequence order
+	for seq := uint64(1); seq <= n; seq++ {
+		if seq == gap {
+			continue
+		}
+		fb := randFeedback(rng, int(seq))
+		fbs = append(fbs, fb)
+		want = append(want, Frame{Epoch: epochAt(marks, seq), Seq: seq, Payload: marshalT(t, fb)})
+	}
+	for _, i := range rng.Perm(len(fbs)) {
+		sh := &s.shards[shardFor(fbs[i].Service)]
+		sh.mu.Lock()
+		sh.apply(want[i].Seq, fbs[i])
+		sh.mu.Unlock()
+		s.count.Add(1)
+	}
+	s.seq.Store(n)
+	inOrder := 0
+	for i := range s.shards {
+		if slices.IsSortedFunc(s.shards[i].recs, func(a, b record) int { return cmp.Compare(a.seq, b.seq) }) {
+			inOrder++
+		}
+	}
+	if inOrder == shardCount {
+		t.Fatal("every segment is in sequence order: the test checks nothing")
+	}
+
+	for after := uint64(0); after <= n; after++ {
+		// The run from the cursor ends before the gap, or at n past it.
+		end := uint64(n)
+		if after < gap {
+			end = gap - 1
+		}
+		for _, max := range []int{0, 1, 7, 512} {
+			limit := uint64(max)
+			if max == 0 {
+				limit = 512
+			}
+			var exp []Frame
+			for _, f := range want {
+				if f.Seq > after && f.Seq <= min(end, after+limit) {
+					exp = append(exp, f)
+				}
+			}
+			got, err := s.FramesSince(after, max)
+			if err != nil || !sameFrames(got, exp) {
+				t.Fatalf("FramesSince(%d, %d) shipped %d frames (err %v), want %d", after, max, len(got), err, len(exp))
+			}
+		}
+	}
+
+	var doc bytes.Buffer
+	records, lastSeq, err := s.WriteSnapshotTo(&doc)
+	if err != nil || records != gap-1 || lastSeq != gap-1 {
+		t.Fatalf("WriteSnapshotTo wrote %d records to seq %d (err %v), want the %d before the gap", records, lastSeq, err, gap-1)
+	}
+	seeded := NewStore()
+	if err := seeded.InstallMarks(marks); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seeded.SeedFromSnapshot(doc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := seeded.FramesSince(0, 0); err != nil || !sameFrames(got, want[:gap-1]) {
+		t.Fatalf("the document seeds %d frames (err %v), want the %d before the gap", len(got), err, gap-1)
+	}
+
+	var export bytes.Buffer
+	enc := json.NewEncoder(&export)
+	for _, fb := range fbs {
+		if err := enc.Encode(toRecord(fb)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := exportOf(t, s); !bytes.Equal(got, export.Bytes()) {
+		t.Fatal("Export is not in sequence order")
+	}
+	if got := replayed(t, s); !reflect.DeepEqual(got, fbs) {
+		t.Fatal("Replay is not in sequence order")
+	}
+
+	// After Reset at seq n and one Submit, a cursor below n predates the
+	// in-memory log, and cursor n ships record n+1.
+	s.Reset()
+	fb := randFeedback(rng, n+1)
+	if err := s.Submit(fb); err != nil {
+		t.Fatal(err)
+	}
+	for _, after := range []uint64{0, gap, n - 1} {
+		if _, err := s.FramesSince(after, 0); !errors.Is(err, ErrHorizon) {
+			t.Fatalf("FramesSince(%d) after Reset gave %v, want ErrHorizon", after, err)
+		}
+	}
+	exp := []Frame{{Epoch: 1, Seq: n + 1, Payload: marshalT(t, fb)}}
+	if got, err := s.FramesSince(n, 0); err != nil || !sameFrames(got, exp) {
+		t.Fatalf("FramesSince(%d) after Reset shipped %d frames (err %v), want record %d", n, len(got), err, n+1)
+	}
+}
+
 func TestApplyReplicatedContiguityAndFencing(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, WALOptions{})
@@ -287,7 +417,7 @@ func TestSnapshotTransferRoundTrip(t *testing.T) {
 	if n != 30 || dst.LastSeq() != 30 {
 		t.Fatalf("seeded %d records to seq %d, want 30/30", n, dst.LastSeq())
 	}
-	if !matricesEqual(src, dst) {
+	if !exportsEqual(t, src, dst) {
 		t.Fatal("seeded state diverged from source")
 	}
 	// Non-empty stores refuse a seed.
@@ -318,7 +448,7 @@ func TestSnapshotTransferRoundTrip(t *testing.T) {
 	if rec.Records() != 30 || re.LastSeq() != 30 {
 		t.Fatalf("recovered seed: %d records to %d, want 30/30", rec.Records(), re.LastSeq())
 	}
-	if !matricesEqual(src, re) {
+	if !exportsEqual(t, src, re) {
 		t.Fatal("recovered seed diverged from source")
 	}
 	if err := re.Close(); err != nil {

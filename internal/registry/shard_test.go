@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,9 +14,9 @@ import (
 )
 
 // TestShardingPreservesSubmissionOrder: sequential submits must read back
-// in exact submission order through every API, regardless of which shard
-// each record landed in — the determinism contract golden digests and
-// wsxsim replays rely on.
+// in exact submission order through every ordered read, regardless of
+// which shard each record landed in — the determinism contract golden
+// digests and wsxsim replays rely on.
 func TestShardingPreservesSubmissionOrder(t *testing.T) {
 	st := NewStore()
 	const n = 200
@@ -33,24 +34,23 @@ func TestShardingPreservesSubmissionOrder(t *testing.T) {
 	if _, err := re.Import(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		want := richFeedback(i)
-		svc := st.ForService(want.Service)
-		found := false
-		for _, fb := range svc {
-			if fb.Consumer == want.Consumer && fb.At.Equal(want.At) {
-				found = true
-				break
+	for _, s := range []*Store{st, re} {
+		got := replayed(t, s)
+		if len(got) != n {
+			t.Fatalf("Replay fed %d records, want %d", len(got), n)
+		}
+		for i, fb := range got {
+			if want := richFeedback(i); fb.Consumer != want.Consumer || !fb.At.Equal(want.At) {
+				t.Fatalf("record %d is %s at %v, want %s at %v (submission order lost)",
+					i, fb.Consumer, fb.At, want.Consumer, want.At)
 			}
 		}
-		if !found {
-			t.Fatalf("record %d missing from ForService(%s)", i, want.Service)
-		}
 	}
-	if !matricesEqual(st, re) {
+	if !exportsEqual(t, st, re) {
 		t.Fatal("export/import round trip diverged")
 	}
-	// ForConsumer order: one consumer, many services, must be submission order.
+	// One consumer rating many services, spread across shards: every
+	// ordered read keeps submission order.
 	st2 := NewStore()
 	for i := 0; i < 40; i++ {
 		fb := richFeedback(i)
@@ -60,28 +60,17 @@ func TestShardingPreservesSubmissionOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := st2.ForConsumer("c-fixed")
-	if len(got) != 40 {
-		t.Fatalf("ForConsumer len = %d", len(got))
+	frames, err := st2.FramesSince(0, 0)
+	if err != nil || len(frames) != 40 {
+		t.Fatalf("FramesSince = %d frames, err %v", len(frames), err)
 	}
-	for i, fb := range got {
+	for i, fb := range replayed(t, st2) {
 		if fb.Service != core.NewServiceID(i) {
-			t.Fatalf("ForConsumer[%d] = %s, want %s (submission order lost)", i, fb.Service, core.NewServiceID(i))
+			t.Fatalf("Replay[%d] = %s, want %s (submission order lost)", i, fb.Service, core.NewServiceID(i))
 		}
-	}
-}
-
-// TestViewSharedSliceSafety: a reader's append onto a returned slice must
-// not scribble into the view's shared backing array.
-func TestViewSharedSliceSafety(t *testing.T) {
-	st := NewStore()
-	_ = st.Submit(fb("c001", "s001", 0.1, simclock.Epoch))
-	got := st.ForService("s001")
-	_ = append(got, fb("c-evil", "s001", 0.9, simclock.Epoch)) // must reallocate
-	_ = st.Submit(fb("c002", "s001", 0.2, simclock.Epoch))
-	after := st.ForService("s001")
-	if len(after) != 2 || after[1].Consumer != "c002" {
-		t.Fatalf("shared backing array corrupted: %+v", after)
+		if got, err := frames[i].Feedback(); err != nil || got.Service != fb.Service || frames[i].Seq != uint64(i+1) {
+			t.Fatalf("frame %d = seq %d %s (err %v), want seq %d %s", i, frames[i].Seq, got.Service, err, i+1, fb.Service)
+		}
 	}
 }
 
@@ -111,15 +100,26 @@ func TestDurableHammer(t *testing.T) {
 		}()
 	}
 	wg.Add(1)
-	go func() { // reader mixing view refreshes into the write storm
+	go func() { // reader mixing every ordered read into the write storm
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			_ = st.ForService(core.NewServiceID(i % 13))
-			_ = st.RatingMatrix()
-			_ = st.Services()
-			var buf bytes.Buffer
+			frames, err := st.FramesSince(uint64(i), 7)
+			if err != nil && !errors.Is(err, ErrHorizon) {
+				t.Error(err)
+			}
+			for k, f := range frames {
+				if f.Seq != uint64(i+k+1) {
+					t.Errorf("FramesSince(%d)[%d] has seq %d", i, k, f.Seq)
+				}
+			}
 			if i%50 == 0 {
-				_ = st.Export(&buf)
+				var buf bytes.Buffer
+				if err := st.Export(&buf); err != nil {
+					t.Error(err)
+				}
+				if _, _, err := st.WriteSnapshotTo(&buf); err != nil {
+					t.Error(err)
+				}
 			}
 		}
 	}()
@@ -146,7 +146,7 @@ func TestDurableHammer(t *testing.T) {
 	if int64(rec.Records()) != acked.Load() {
 		t.Fatalf("recovered %d, acked %d", rec.Records(), acked.Load())
 	}
-	if !matricesEqual(st, re) {
+	if !exportsEqual(t, st, re) {
 		t.Fatal("recovered state diverged from closed store")
 	}
 }
@@ -307,20 +307,20 @@ func TestWALKillAndRecoverBatched(t *testing.T) {
 	}
 }
 
-// TestResetInvalidatesView: Reset must clear what readers observe even
-// though views are cached.
-func TestResetInvalidatesView(t *testing.T) {
+// TestResetClearsReaders: after Reset, every ordered read sees only the
+// records written since.
+func TestResetClearsReaders(t *testing.T) {
 	st := NewStore()
 	_ = st.Submit(fb("c001", "s001", 0.4, simclock.Epoch))
-	if len(st.ForService("s001")) != 1 { // populate the view cache
-		t.Fatal("setup")
-	}
 	st.Reset()
-	if got := st.ForService("s001"); len(got) != 0 {
-		t.Fatalf("stale view after Reset: %+v", got)
+	if got := exportOf(t, st); len(got) != 0 {
+		t.Fatalf("export after Reset: %s", got)
+	}
+	if frames, err := st.FramesSince(1, 0); err != nil || len(frames) != 0 {
+		t.Fatalf("FramesSince after Reset = %d frames, err %v", len(frames), err)
 	}
 	_ = st.Submit(fb("c002", "s002", 0.6, simclock.Epoch))
-	if got := st.Services(); len(got) != 1 || got[0] != "s002" {
-		t.Fatalf("post-reset Services = %v", got)
+	if got := replayed(t, st); len(got) != 1 || got[0].Service != "s002" {
+		t.Fatalf("Replay after Reset fed %+v", got)
 	}
 }

@@ -57,6 +57,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"iter"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -175,8 +176,7 @@ type walWriter struct {
 // frames out of order. Every queued and future commit then fails with the
 // same error; recovery (Open) handles the torn tail.
 //
-//lint:hotpath commit is on every Submit; only the seq assignment and the
-// frame append may run under the queue mutex.
+//lint:hotpath commit is on every Submit; only the seq assignment and the frame append may run under the queue mutex.
 func (w *walWriter) commit(seqSrc *atomic.Uint64, epoch uint64, payload []byte) (uint64, error) {
 	// The checksum covers only the payload, so it can be computed before
 	// taking the queue lock; only the sequence number needs the lock.
@@ -221,8 +221,7 @@ func (w *walWriter) commit(seqSrc *atomic.Uint64, epoch uint64, payload []byte) 
 // rounds of the commit protocol. Failure semantics match commit: any
 // write/fsync error marks the WAL broken and the whole batch is rejected.
 //
-//lint:hotpath commitBatch carries every bulk /local-trust merge; only the
-// seq assignments and frame appends may run under the queue mutex.
+//lint:hotpath commitBatch carries every bulk /local-trust merge; only the seq assignments and frame appends may run under the queue mutex.
 func (w *walWriter) commitBatch(seqSrc *atomic.Uint64, epoch uint64, payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, errors.New("registry: empty wal batch")
@@ -754,33 +753,33 @@ func (s *Store) compact() {
 }
 
 // buildSnapshotDoc renders the full snapshot document — checksummed s2
-// header plus one frame per record — for the records log[i] with sequence
-// numbers seqs[i], with the facts of the document. Each frame carries its
-// record's own sequence number (dense in practice, since sequence numbers
-// are contiguous) and the epoch the marks assign it, so a replica seeded
-// from this document, or the store reopened from it, reconstructs the
-// same history.
-func buildSnapshotDoc(log []core.Feedback, seqs []uint64, lastSeq uint64, marks []EpochMark) ([]byte, snapFacts, error) {
+// header plus one frame per record — for the records recs yields with
+// their sequence numbers, with the facts of the document. Each frame
+// carries its record's own sequence number and the epoch the marks assign
+// it, so a replica seeded from this document, or the store reopened from
+// it, reconstructs the same history. The header's lastSeq is lastSeq, or
+// the last record's sequence number if that is higher.
+func buildSnapshotDoc(recs iter.Seq2[uint64, core.Feedback], lastSeq uint64, marks []EpochMark) ([]byte, snapFacts, error) {
 	var body []byte
-	var frame []byte
-	for i, fb := range log {
+	count := 0
+	for seq, fb := range recs {
 		payload, err := marshalRecord(fb)
 		if err != nil {
 			return nil, snapFacts{}, err
 		}
-		seq := seqs[i]
-		frame = appendFrame(frame[:0], epochAt(marks, seq), seq, crc32.ChecksumIEEE(payload), payload)
-		body = append(body, frame...)
+		body = appendFrame(body, epochAt(marks, seq), seq, crc32.ChecksumIEEE(payload), payload)
+		count++
+		lastSeq = max(lastSeq, seq)
 	}
 	facts := snapFacts{
 		valid:   true,
-		count:   len(log),
+		count:   count,
 		lastSeq: lastSeq,
 		crc:     crc32.ChecksumIEEE(body),
 		bodyLen: int64(len(body)),
 	}
 	header := fmt.Sprintf("%s %d %d %08x %d\n",
-		snapPrefixV2, len(log), lastSeq, facts.crc, len(body))
+		snapPrefixV2, count, lastSeq, facts.crc, len(body))
 	facts.bodyOff = int64(len(header))
 	return append([]byte(header), body...), facts, nil
 }
@@ -795,7 +794,7 @@ func buildSnapshotDoc(log []core.Feedback, seqs []uint64, lastSeq uint64, marks 
 // The new file is the old snapshot body plus the WAL's live frames,
 // copied and verified by extendSnapshot. Only when those files cannot be
 // extended — after Reset, or when a check fails — does it re-encode every
-// record from the view, which also heals a rotted file.
+// record from memory (bySeq), which also heals a rotted file.
 //
 //lint:guarded snapshotLocked runs with s.state held by Snapshot/compact
 func (s *Store) snapshotLocked() error {
@@ -809,8 +808,7 @@ func (s *Store) snapshotLocked() error {
 	}
 	if errors.Is(err, errStale) {
 		var doc []byte
-		v := s.currentView()
-		if doc, next, err = buildSnapshotDoc(v.log, v.seqs, s.seq.Load(), s.Marks()); err == nil {
+		if doc, next, err = buildSnapshotDoc(s.bySeq(), s.seq.Load(), s.Marks()); err == nil {
 			err = writeFileAtomic(w.dir, snapshotName, doc)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -32,9 +31,10 @@ func submitN(t *testing.T, s *Store, from, to int) {
 	}
 }
 
-// matricesEqual compares two stores' full rating matrices.
-func matricesEqual(a, b *Store) bool {
-	return reflect.DeepEqual(a.RatingMatrix(), b.RatingMatrix())
+// exportsEqual reports whether two stores export the same log.
+func exportsEqual(t *testing.T, a, b *Store) bool {
+	t.Helper()
+	return bytes.Equal(exportOf(t, a), exportOf(t, b))
 }
 
 func TestWALRoundTrip(t *testing.T) {
@@ -60,7 +60,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	mem := NewStore()
 	submitN(t, mem, 0, 20)
-	if !matricesEqual(re, mem) {
+	if !exportsEqual(t, re, mem) {
 		t.Fatal("recovered store differs from direct submits")
 	}
 	if err := re.Close(); err != nil {
@@ -179,7 +179,7 @@ func TestWALSnapshotCompaction(t *testing.T) {
 	}
 	mem := NewStore()
 	submitN(t, mem, 0, 12)
-	if !matricesEqual(re, mem) {
+	if !exportsEqual(t, re, mem) {
 		t.Fatal("compacted store differs from direct submits")
 	}
 	if err := re.Close(); err != nil {
@@ -205,7 +205,7 @@ func TestWALSnapshotCompaction(t *testing.T) {
 	if rec2.SkippedRecords != 1 || rec2.Records() != 12 {
 		t.Fatalf("post-crash recovery = %+v, want 1 skipped, 12 records", rec2)
 	}
-	if !matricesEqual(re2, mem) {
+	if !exportsEqual(t, re2, mem) {
 		t.Fatal("post-crash-window store differs")
 	}
 	if err := re2.Close(); err != nil {

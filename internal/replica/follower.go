@@ -416,4 +416,3 @@ func bytesTrim(b []byte) []byte {
 	}
 	return b
 }
-

@@ -91,17 +91,17 @@ type Engine struct {
 
 	// Mechanism and policy knobs, resolved out of sc so the hot loop
 	// never chases the config structs.
-	mechKind   string
-	decayNum   int64 // 16-bit fixed-point per-round decay factor; 0 = none
-	newcomerWQ int64
-	newcomerK  int32
-	explore    float64
-	candK      int
-	rho        float64
-	drop       float64
-	staleServe bool
+	mechKind                string
+	decayNum                int64 // 16-bit fixed-point per-round decay factor; 0 = none
+	newcomerWQ              int64
+	newcomerK               int32
+	explore                 float64
+	candK                   int
+	rho                     float64
+	drop                    float64
+	staleServe              bool
 	churnLeave, churnRejoin float64
-	jitter     float64
+	jitter                  float64
 
 	// Registry aggregates — written only between epochs, on the
 	// coordinator goroutine; workers read the per-round snapshot.
