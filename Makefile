@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt vet lint lint-json test race cover fuzz-smoke chaos-smoke serve-smoke bench bench-test bench-suite bench-json bench-incremental bench-scenario bench-diff scenario-golden loadtest loadtest-smoke ci
+.PHONY: all build fmt vet lint lint-json test race cover fuzz-smoke chaos-smoke serve-smoke bench bench-test bench-suite bench-json bench-incremental bench-scenario bench-gate scenario-golden ci
 
 # Aggregate statement-coverage floor for the packages the fault layer,
 # the mechanism test harness, the scenario engine, and the replication
@@ -102,27 +102,28 @@ bench-test:
 bench-suite:
 	$(GO) test -bench 'BenchmarkSuite' -benchtime 1x .
 
-# Machine-readable benchmark record: suite wall-clock, the C4 critical
-# path, the cf microbenchmarks, and the sharded-registry submit paths at
-# GOMAXPROCS 1/2/4, written to BENCH_PR6.json (committed so perf claims in
-# EXPERIMENTS.md stay auditable). Load-test entries scripts/loadtest.sh
-# already merged into the file are preserved.
+# The benchmark ledger, BENCH_LEDGER.json, keeps one entry per job set and
+# machine fingerprint (go version, GOOS/GOARCH, CPU count), so the perf
+# claims in README.md and EXPERIMENTS.md stay auditable. Each target below
+# reruns its set and refreshes its entry for this machine; entries
+# measured elsewhere stay as history.
+#
+# The default job set: suite wall-clock, the C4 critical path, the cf
+# microbenchmarks and the sharded-registry submit paths at GOMAXPROCS
+# 1/2/4.
 bench-json:
-	$(GO) run ./cmd/wsxbench -out BENCH_PR6.json
+	$(GO) run ./cmd/wsxbench
 
-# PR 8: the incremental-trust population sweep (warm-start submit+score
-# at pop 1k/10k/100k vs the cold full-recompute baseline), merged into the
-# committed BENCH_PR8.json so the flat-per-update and >=10x-vs-cold claims
-# in EXPERIMENTS.md stay auditable.
+# The incremental-trust population sweep (warm-start submit+score at pop
+# 1k/10k/100k vs the cold full-recompute baseline).
 bench-incremental:
-	$(GO) run ./cmd/wsxbench -jobs incremental -merge -out BENCH_PR8.json
+	$(GO) run ./cmd/wsxbench -jobs incremental
 
-# PR 9: the struct-of-arrays scenario engine at benchmark scale — the
-# million-consumer scenario at full parallelism and single-worker, plus
-# the golden-sized cocktail — merged into the committed BENCH_PR9.json so
-# the rounds/s throughput claim in EXPERIMENTS.md stays auditable.
+# The struct-of-arrays scenario engine at benchmark scale (the
+# million-consumer scenario, parallel and single-worker, plus the
+# golden-sized cocktail).
 bench-scenario:
-	$(GO) run ./cmd/wsxbench -jobs scenario -merge -out BENCH_PR9.json
+	$(GO) run ./cmd/wsxbench -jobs scenario
 
 # The golden scenario-regression library: every committed scenario under
 # scenarios/ replayed sequentially and at -parallel 4 against its
@@ -131,26 +132,12 @@ bench-scenario:
 scenario-golden:
 	$(GO) test ./internal/scenario -run 'TestScenarioLibraryShape|TestScenarioGoldenDigests' -v
 
-# Regression diffs, all blocking. The whole-record PR 3 -> PR 6
-# comparison stays advisory (committed records from a quieter reference
-# machine, suite rows too costly to re-measure), but the legacy cf hot
-# paths and the PR 8 incremental hot paths both gate blocking: each
-# script measures a >=2-run noise floor on the current machine first and
-# widens the 10% tolerance to max(0.10, 2 x floor), so only real
-# slowdowns fail.
-bench-diff:
-	-$(GO) run ./cmd/wsxbench -diff BENCH_PR3.json BENCH_PR6.json
-	./scripts/bench_legacy_diff.sh
-	./scripts/bench_incremental_diff.sh
-
-# Open-loop load sweep: wsxload drives wsxd's submit+rank mix at
-# GOMAXPROCS 1/2/4 and folds p50/p95/p99 + goodput into BENCH_PR6.json.
-loadtest:
-	./scripts/loadtest.sh
-
-# Short harness gate for CI: one brief wsxload run against a fresh wsxd,
-# asserting non-zero goodput and a clean drain.
-loadtest-smoke:
-	./scripts/loadtest_smoke.sh
+# Blocking hot-path regression gate: the cf microbenchmarks and the
+# incremental-trust warm path against their ledger baselines. Each set
+# runs twice on this machine, the largest per-row delta between the two
+# runs is the noise floor, and the gate fails on a slowdown beyond
+# max(10%, 2 x floor), or when a set compares no row at all.
+bench-gate:
+	$(GO) run ./cmd/wsxbench gate
 
 ci: fmt vet lint lint-json build test cover

@@ -9,10 +9,10 @@ import (
 
 // HotAlloc keeps the measured hot paths allocation-free. Functions whose
 // doc comment carries a `//lint:hotpath` marker (RankSession.Rank, the
-// epoch-cached Score steady paths, the WAL frame encoder, loadgen's
-// histogram record) are the paths the committed BENCH_PR*.json numbers
-// were earned on; this analyzer flags the patterns that silently
-// re-introduce per-call allocations:
+// epoch-cached Score steady paths, the WAL frame encoder, wsxd's rank
+// snapshot read) are the paths the BENCH_LEDGER.json numbers were earned
+// on; this analyzer flags the patterns that silently re-introduce
+// per-call allocations:
 //
 //   - fmt calls: every fmt.Sprintf/Errorf formats through reflection and
 //     allocates — strconv appends or prebuilt strings belong here instead.

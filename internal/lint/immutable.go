@@ -10,8 +10,8 @@ import (
 
 // Immutable enforces `// immutable after publish` type annotations. The
 // serving path's correctness rests on copy-on-write: the wsxd ranked
-// snapshot and benchfmt records are built once, published through an
-// atomic pointer (or written to disk), and then shared by concurrent
+// snapshot and wsxbench's ledger rows are built once, published through
+// an atomic pointer (or written to disk), and then shared by concurrent
 // readers with no locking at all. That is only sound if no
 // code path ever mutates a published value — a single in-place write is
 // a data race with every reader and, worse, a silent one: the race

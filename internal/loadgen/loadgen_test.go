@@ -1,132 +1,11 @@
 package loadgen
 
 import (
-	"math"
-	"sort"
 	"testing"
 	"time"
 
 	"wstrust/internal/simclock"
 )
-
-// exactPercentile is the sorted-slice definition Percentile must agree
-// with, within the histogram's sub-bucket resolution.
-func exactPercentile(sorted []uint64, q float64) uint64 {
-	rank := int(math.Ceil(q / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
-func TestBucketIndexMonotone(t *testing.T) {
-	prev := -1
-	for _, v := range []uint64{0, 1, 2, 31, 32, 33, 63, 64, 100, 1023, 1024, 1 << 20, 1<<40 + 12345, 1<<63 + 1} {
-		i := bucketIndex(v)
-		if i < prev {
-			t.Fatalf("bucketIndex(%d) = %d < previous %d", v, i, prev)
-		}
-		if i >= numBuckets {
-			t.Fatalf("bucketIndex(%d) = %d out of range", v, i)
-		}
-		if low := bucketLow(i); low > v {
-			t.Fatalf("bucketLow(%d) = %d > value %d", i, low, v)
-		}
-		prev = i
-	}
-}
-
-func TestBucketLowRoundTrip(t *testing.T) {
-	for i := 0; i < numBuckets-subCount; i++ { // top range overflows bucketLow's shift domain
-		low := bucketLow(i)
-		if got := bucketIndex(low); got != i {
-			t.Fatalf("bucketIndex(bucketLow(%d)=%d) = %d", i, low, got)
-		}
-	}
-}
-
-// TestPercentileAgainstExact records a seeded heavy-tailed sample set and
-// checks every ladder percentile against the sorted-slice definition,
-// within the histogram's documented ~3.1% relative error.
-func TestPercentileAgainstExact(t *testing.T) {
-	rng := simclock.Stream(42, "loadgen.test")
-	var h Histogram
-	samples := make([]uint64, 0, 20000)
-	for i := 0; i < 20000; i++ {
-		// Log-uniform over ~6 decades: exercises many bucket ranges.
-		v := uint64(math.Exp(rng.Float64() * 14))
-		h.Record(int64(v))
-		samples = append(samples, v)
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	for _, q := range []float64{50, 90, 95, 99, 99.9} {
-		got := h.Percentile(q)
-		want := exactPercentile(samples, q)
-		if want == 0 {
-			continue
-		}
-		rel := math.Abs(float64(got)-float64(want)) / float64(want)
-		if rel > 1.0/subCount {
-			t.Fatalf("p%g = %d, exact %d, relative error %.3f > %.3f", q, got, want, rel, 1.0/subCount)
-		}
-	}
-	if h.Percentile(100) != samples[len(samples)-1] {
-		t.Fatalf("p100 = %d, want exact max %d", h.Percentile(100), samples[len(samples)-1])
-	}
-	if h.Min() != samples[0] {
-		t.Fatalf("min = %d, want %d", h.Min(), samples[0])
-	}
-}
-
-func TestHistogramSmallValuesExact(t *testing.T) {
-	var h Histogram
-	for v := int64(0); v < 32; v++ {
-		h.Record(v)
-	}
-	if got := h.Percentile(50); got != 15 {
-		t.Fatalf("p50 over 0..31 = %d, want 15", got)
-	}
-	if h.Count() != 32 || h.Max() != 31 || h.Mean() != 15.5 {
-		t.Fatalf("count/max/mean = %d/%d/%g", h.Count(), h.Max(), h.Mean())
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b, whole Histogram
-	rng := simclock.Stream(7, "loadgen.merge")
-	for i := 0; i < 5000; i++ {
-		v := int64(rng.Intn(1_000_000))
-		whole.Record(v)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != whole.Count() || a.Max() != whole.Max() || a.Min() != whole.Min() {
-		t.Fatal("merge lost counts or extrema")
-	}
-	for _, q := range []float64{50, 99, 99.9} {
-		if a.Percentile(q) != whole.Percentile(q) {
-			t.Fatalf("merged p%g = %d, whole %d", q, a.Percentile(q), whole.Percentile(q))
-		}
-	}
-}
-
-func TestHistogramEmptyAndNegative(t *testing.T) {
-	var h Histogram
-	if h.Percentile(99) != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram not zero-valued")
-	}
-	h.Record(-5)
-	if h.Count() != 1 || h.Percentile(50) != 0 {
-		t.Fatal("negative sample must clamp to zero")
-	}
-}
 
 // TestPacerOpenLoop drives the pacer on a fake clock: arrivals must keep
 // their schedule even when the caller stalls, so post-stall arrivals are

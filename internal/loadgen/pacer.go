@@ -1,3 +1,7 @@
+// Package loadgen holds the open-loop arrival pacer that bench/wsxperf
+// schedules its requests with. The package is pure computation —
+// time sources are injected — so it stays inside the repo's determinism
+// lint and is testable without sleeping.
 package loadgen
 
 import (
@@ -12,7 +16,7 @@ import (
 // delay — the coordinated-omission-free number.
 //
 // Time sources are injected so the pacer itself is deterministic and
-// testable; cmd/wsxload wires the real clock in.
+// testable; bench/wsxperf wires the real clock in.
 type Pacer struct {
 	interval time.Duration // time between consecutive arrivals
 	start    time.Time

@@ -45,7 +45,8 @@ func benchEngine(b *testing.B, name string, workers int) {
 
 // BenchmarkScenarioEngineMillion is the acceptance benchmark: the
 // 10^6-consumer scenario at full parallelism, reporting simulated
-// throughput per round (merged into BENCH_PR9.json by make bench-scenario).
+// throughput per round (recorded in BENCH_LEDGER.json by make
+// bench-scenario).
 func BenchmarkScenarioEngineMillion(b *testing.B) {
 	benchEngine(b, "million-flash-crowd.json", runtime.NumCPU())
 }

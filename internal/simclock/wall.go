@@ -16,6 +16,6 @@ func (wallClock) Now() time.Time { return time.Now() }
 
 // SleepWall blocks the calling goroutine on the operating-system clock.
 // Like Wall, it exists for serving and load-driving processes
-// (cmd/wsxload's open-loop pacer): simulation code never sleeps, and the
+// (bench/wsxperf's open-loop pacer): simulation code never sleeps, and the
 // determinism lint confines real sleeping to this seam.
 func SleepWall(d time.Duration) { time.Sleep(d) }
