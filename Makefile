@@ -25,8 +25,12 @@ fmt:
 	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
+# bench/ is its own Go module, so `go vet ./...` does not reach it; it
+# imports internal packages, and vetting it here makes a change that
+# breaks the benchmark's build fail `make ci`, not only `make bench-test`.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # wsxlint checks the repo's determinism & invariant rules (see DESIGN.md
 # §"Determinism invariants"): no ambient randomness or wall-clock reads

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"wstrust/internal/core"
 	"wstrust/internal/registry"
 	"wstrust/internal/resilience"
 	"wstrust/internal/simclock"
@@ -65,9 +66,24 @@ func TestServerCompactionFailureKeepsWrites(t *testing.T) {
 		logs = append(logs, fmt.Sprintf(format, args...))
 	}
 	h := s.routes()
+	// evidence counts the ratings beta has absorbed for s001: the n for
+	// which a fresh beta fed n copies of the same rating scores the same.
 	evidence := func() int {
-		_, _, n, _ := s.getMech().(*beta.Mechanism).Spread(scoreQuery("s001"))
-		return n
+		got, _ := s.getMech().Score(scoreQuery("s001"))
+		ref := beta.New()
+		fb := core.Feedback{
+			Consumer: "c1", Service: "s001", Provider: "p1", Context: "compute",
+			Ratings: map[core.Facet]float64{core.FacetOverall: 0.9},
+		}
+		for n := 0; n <= 8; n++ {
+			if want, _ := ref.Score(scoreQuery("s001")); want == got {
+				return n
+			}
+			if err := ref.Submit(fb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return -1
 	}
 	rating := `{"consumer":"c1","service":"s001","provider":"p1","context":"compute","rating":0.9}`
 

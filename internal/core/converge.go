@@ -2,8 +2,7 @@ package core
 
 // ConvergenceStats describes the effort behind a mechanism's most recent
 // fixpoint computation — the execution statistics go-eigentrust's
-// /compute-with-stats endpoint reports alongside scores, generalized so
-// any iterative mechanism (EigenTrust, PageRank) can expose them.
+// /compute-with-stats endpoint reports alongside scores.
 type ConvergenceStats struct {
 	// Iterations is the number of power-iteration (or delta-propagation)
 	// rounds the last compute ran.
@@ -17,10 +16,10 @@ type ConvergenceStats struct {
 	WarmStart bool `json:"warmStart"`
 }
 
-// ConvergenceReporter is implemented by mechanisms whose Score rests on an
-// iterative fixpoint and that track how the most recent one converged.
-// Mechanisms without an iterative core simply do not implement it; callers
-// (wsxd's /compute-with-stats) report zero stats for them.
+// ConvergenceReporter is implemented by mechanisms that track how their
+// most recent fixpoint converged; today that is EigenTrust. Other
+// mechanisms do not implement it, and callers (wsxd's /compute-with-stats)
+// report zero stats for them.
 type ConvergenceReporter interface {
 	// LastConvergence returns the statistics of the most recent fixpoint
 	// computation. Before any compute has run, all fields are zero.

@@ -88,32 +88,6 @@ func (km *KeyedMemo[K, V]) Get(e *Epoch, k K, compute func() V) V {
 	return v
 }
 
-// Lookup returns the value cached for k without computing on miss, for
-// callers whose recompute cannot run under the cache's lock (e.g. it
-// performs network I/O). A stale generation reads as a miss.
-func (km *KeyedMemo[K, V]) Lookup(e *Epoch, k K) (V, bool) {
-	if e != nil && km.at != e.n {
-		var zero V
-		return zero, false
-	}
-	v, ok := km.m[k]
-	return v, ok
-}
-
-// Put stores v for k in the current generation, discarding a stale one
-// first. The Lookup/Put pair is not atomic across an unlock — callers
-// must re-check for intervening writes before Put (or tolerate them).
-func (km *KeyedMemo[K, V]) Put(e *Epoch, k K, v V) {
-	if e != nil && km.at != e.n {
-		km.m = nil
-		km.at = e.n
-	}
-	if km.m == nil {
-		km.m = make(map[K]V)
-	}
-	km.m[k] = v
-}
-
 // Drop evicts the entry for k, if any.
 func (km *KeyedMemo[K, V]) Drop(k K) { delete(km.m, k) }
 

@@ -27,10 +27,6 @@ import (
 // Option configures the mechanism.
 type Option func(*Mechanism)
 
-// WithHighThreshold sets the facet value counted as a "high" observation
-// in the CPTs (default 0.5).
-func WithHighThreshold(v float64) Option { return func(m *Mechanism) { m.highAt = v } }
-
 // WithDirectSufficiency sets how many direct interactions make an agent
 // skip recommendations (default 5).
 func WithDirectSufficiency(n int) Option {
@@ -40,6 +36,10 @@ func WithDirectSufficiency(n int) Option {
 		}
 	}
 }
+
+// highAt is the facet value above which an observation counts as "high"
+// in the CPTs.
+const highAt = 0.5
 
 // netModel is one agent's naive Bayes net about one subject.
 type netModel struct {
@@ -56,7 +56,7 @@ func newNetModel() *netModel {
 }
 
 // observe folds one interaction into the network.
-func (nm *netModel) observe(overall float64, facets map[core.Facet]float64, highAt float64) {
+func (nm *netModel) observe(overall float64, facets map[core.Facet]float64) {
 	class := 0
 	if overall > 0.5 {
 		class = 1
@@ -123,7 +123,6 @@ func (a *agent) recWeight(r core.ConsumerID) float64 {
 // Mechanism is the Wang-Vassileva trust engine. Safe for concurrent use.
 type Mechanism struct {
 	net         *p2p.Network
-	highAt      float64
 	sufficiency int
 
 	mu     sync.Mutex
@@ -145,7 +144,6 @@ func New(net *p2p.Network, opts ...Option) *Mechanism {
 	}
 	m := &Mechanism{
 		net:         net,
-		highAt:      0.5,
 		sufficiency: 5,
 		agents:      map[core.ConsumerID]*agent{},
 		counts:      map[core.EntityID]float64{},
@@ -198,7 +196,7 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 		model = newNetModel()
 		ag.models[fb.Service] = model
 	}
-	model.observe(overall, fb.Ratings, m.highAt)
+	model.observe(overall, fb.Ratings)
 	// Settle pending recommendations: a recommender was right when its
 	// recommendation sat on the same side of 0.5 as the outcome.
 	if recs, has := ag.pending[fb.Service]; has {

@@ -37,15 +37,9 @@ func WithPersonalized(on bool) Option {
 	return func(m *Mechanism) { m.personalized = on }
 }
 
-// WithConfidenceScale sets how much total evidence (r+s) is needed to reach
-// confidence 0.5 (default 2, Jøsang's u = 2/(r+s+2)).
-func WithConfidenceScale(c float64) Option {
-	return func(m *Mechanism) {
-		if c > 0 {
-			m.confScale = c
-		}
-	}
-}
+// confScale is how much total evidence (r+s) is needed to reach
+// confidence 0.5 (Jøsang's u = 2/(r+s+2)).
+const confScale = 2
 
 // evidence is a decaying (r, s) pair.
 type evidence struct {
@@ -67,7 +61,7 @@ func (e *evidence) observe(pos, neg float64, at time.Time, decay core.DecayFunc)
 }
 
 // score is the Beta posterior mean; confidence approaches 1 with evidence.
-func (e *evidence) score(confScale float64) core.TrustValue {
+func (e *evidence) score() core.TrustValue {
 	total := e.r + e.s
 	if total == 0 {
 		return core.TrustValue{Score: 0.5, Confidence: 0}
@@ -89,42 +83,15 @@ type directKey struct {
 	subjectKey
 }
 
-// welford is Welford's online mean/variance accumulator over the raw
-// ratings a subject pool has absorbed — the streaming replacement for
-// re-scanning a rating log to judge how contested a reputation is. Stored
-// by value; updates never allocate.
-type welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-func (w *welford) add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// variance is the population variance of the absorbed ratings.
-func (w welford) variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
 // Mechanism is the Beta reputation engine. Safe for concurrent use.
 type Mechanism struct {
 	decay        core.DecayFunc
 	personalized bool
-	confScale    float64
 
 	mu        sync.Mutex
 	global    map[subjectKey]*evidence
 	direct    map[directKey]*evidence
 	providers map[subjectKey]*evidence
-	spreads   map[subjectKey]welford
 }
 
 var (
@@ -137,11 +104,9 @@ var (
 func New(opts ...Option) *Mechanism {
 	m := &Mechanism{
 		decay:     core.NoDecay,
-		confScale: 2,
 		global:    map[subjectKey]*evidence{},
 		direct:    map[directKey]*evidence{},
 		providers: map[subjectKey]*evidence{},
-		spreads:   map[subjectKey]welford{},
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -171,20 +136,17 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 	return nil
 }
 
-// applyFacetLocked folds one facet rating into the evidence pools and the
-// Welford spread. A method rather than Submit's old per-call closure: the
-// closure captured the feedback and heap-allocated on every Submit, which
-// the hotalloc analyzer now keeps out of the steady path. Pool misses
-// (roster growth) allocate inside the un-annotated pool helpers.
+// applyFacetLocked folds one facet rating into the evidence pools. It is a
+// method rather than a closure in Submit because a closure capturing the
+// feedback heap-allocates on every Submit, which the hotalloc analyzer
+// keeps out of the steady path. Pool misses (roster growth) allocate
+// inside the un-annotated pool helpers.
 //
 //lint:hotpath
 func (m *Mechanism) applyFacetLocked(fb core.Feedback, facet core.Facet, v float64) {
 	pos, neg := v, 1-v
 	k := subjectKey{fb.Service, fb.Context, facet}
 	m.pool(m.global, k).observe(pos, neg, fb.At, m.decay)
-	sp := m.spreads[k]
-	sp.add(v)
-	m.spreads[k] = sp
 	if m.personalized {
 		m.poolDirect(directKey{fb.Consumer, k}).observe(pos, neg, fb.At, m.decay)
 	}
@@ -212,21 +174,6 @@ func (m *Mechanism) poolDirect(k directKey) *evidence {
 	return ev
 }
 
-// Spread reports the streaming mean and population variance of the raw
-// ratings absorbed for (subject, context, facet), with the sample count —
-// an O(1) answer to "how contested is this reputation" that previously
-// required keeping and re-scanning the rating log. ok is false before any
-// rating arrives.
-func (m *Mechanism) Spread(q core.Query) (mean, variance float64, n int, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w, ok := m.spreads[subjectKey{q.Subject, q.Context, q.Facet}]
-	if !ok || w.n == 0 {
-		return 0, 0, 0, false
-	}
-	return w.mean, w.variance(), w.n, true
-}
-
 // Score implements core.Mechanism. In personalized mode with a perspective,
 // direct experience and public reputation are blended by confidence —
 // "trust can be gained from a person's own experiences with an entity or
@@ -244,7 +191,7 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	if !ok || ev.r+ev.s == 0 {
 		return pub, pubOK
 	}
-	direct := ev.score(m.confScale)
+	direct := ev.score()
 	if !pubOK {
 		return direct, true
 	}
@@ -267,12 +214,12 @@ func (m *Mechanism) lookup(pools map[subjectKey]*evidence, k subjectKey) (core.T
 			k2 := k
 			k2.context = core.ContextAny
 			if ev2, ok2 := pools[k2]; ok2 && ev2.r+ev2.s > 0 {
-				return ev2.score(m.confScale), true
+				return ev2.score(), true
 			}
 		}
 		return core.TrustValue{Score: 0.5, Confidence: 0}, false
 	}
-	return ev.score(m.confScale), true
+	return ev.score(), true
 }
 
 // Reset implements core.Resetter.
@@ -282,5 +229,4 @@ func (m *Mechanism) Reset() {
 	m.global = map[subjectKey]*evidence{}
 	m.direct = map[directKey]*evidence{}
 	m.providers = map[subjectKey]*evidence{}
-	m.spreads = map[subjectKey]welford{}
 }

@@ -104,17 +104,6 @@ func WithMinOverlap(n int) Option {
 	}
 }
 
-// WithStreaming serves per-consumer and per-item means from running
-// aggregates maintained at Submit time (sum updated by v−old) instead of
-// re-summing the row on every cache miss — O(1) per submit and per miss.
-// The memo eviction semantics are unchanged; only the recompute closures
-// get cheap. Streamed sums accumulate in submission order rather than
-// sorted-id order, so scores can differ from the exact mode in the last
-// float bits — streaming is therefore opt-in and wsxsim's default stays
-// the exact path. (IUF rating counts are integers, so their incremental
-// maintenance is bit-exact and always on.)
-func WithStreaming(on bool) Option { return func(m *Mechanism) { m.streaming = on } }
-
 // simResult caches one similarity(a,b) outcome, including the
 // below-minimum-overlap rejection.
 type simResult struct {
@@ -136,19 +125,14 @@ type Mechanism struct {
 	iuf         bool
 	minOverlap  int
 	defaultVote *float64
-	streaming   bool
 
 	mu      sync.Mutex
 	ratings map[core.ConsumerID]map[core.EntityID]float64 // guarded by mu
 
-	// Streaming aggregates (see WithStreaming). itemCnt — the per-item
-	// rater count, equal to the IUF rating count — is maintained in every
-	// mode: it is integer-exact and lets itemWeights rebuild from O(items)
-	// instead of scanning the whole matrix. The float sums feed the
-	// mean closures only in streaming mode.
-	itemCnt map[core.EntityID]int       // guarded by mu
-	itemSum map[core.EntityID]float64   // guarded by mu; streaming only
-	consSum map[core.ConsumerID]float64 // guarded by mu; streaming only
+	// itemCnt is the per-item rater count, equal to the IUF rating count,
+	// maintained at Submit time: it is integer-exact and lets itemWeights
+	// rebuild from O(items) instead of scanning the whole matrix.
+	itemCnt map[core.EntityID]int // guarded by mu
 
 	// Epoch caches over the rating matrix. pairEpoch advances whenever a
 	// new (consumer, item) cell appears — the only event that changes
@@ -182,8 +166,6 @@ func New(opts ...Option) *Mechanism {
 		ratings:    map[core.ConsumerID]map[core.EntityID]float64{},
 		simCache:   map[core.ConsumerID]map[core.ConsumerID]simResult{},
 		itemCnt:    map[core.EntityID]int{},
-		itemSum:    map[core.EntityID]float64{},
-		consSum:    map[core.ConsumerID]float64{},
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -218,13 +200,13 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 		return nil // identical overwrite: no derived state moves
 	}
 	row[fb.Service] = v
-	m.noteSubmitLocked(fb.Consumer, fb.Service, old, existed, v)
 
 	// Invalidate exactly what this cell can influence.
 	m.meanMemo.Drop(fb.Consumer)
 	m.itemMemo.Drop(fb.Service)
 	m.dropSimsLocked(fb.Consumer)
 	if !existed {
+		m.itemCnt[fb.Service]++
 		m.pairEpoch.Bump()
 		if m.iuf {
 			// Rating counts shifted, so IUF weights — and every
@@ -236,28 +218,6 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 		m.consEpoch.Bump()
 	}
 	return nil
-}
-
-// noteSubmitLocked maintains the streaming aggregates for one accepted
-// rating: the per-item rater count (always; integers, bit-exact) and, in
-// streaming mode, the per-item and per-consumer running sums. This is the
-// per-rating steady path — no allocation beyond roster growth.
-//
-//lint:guarded noteSubmitLocked runs with m.mu held by Submit
-//lint:hotpath
-func (m *Mechanism) noteSubmitLocked(c core.ConsumerID, item core.EntityID, old float64, existed bool, v float64) {
-	if !existed {
-		m.itemCnt[item]++
-	}
-	if !m.streaming {
-		return
-	}
-	d := v
-	if existed {
-		d = v - old
-	}
-	m.itemSum[item] += d
-	m.consSum[c] += d
 }
 
 // dropSimsLocked evicts every cached similarity involving c, as
@@ -506,21 +466,16 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	return core.TrustValue{Score: pred, Confidence: conf}, true
 }
 
-// itemMean is the recompute path behind itemMeanCached. In streaming mode
-// the sum comes from the running aggregate in O(1); otherwise it re-sums
-// the column in sorted consumer order.
+// itemMean is the recompute path behind itemMeanCached: it re-sums the
+// column in sorted consumer order.
 //
 //lint:guarded itemMean runs with m.mu held by its callers
 func (m *Mechanism) itemMean(item core.EntityID) (core.TrustValue, bool) {
 	var sum, n float64
-	if m.streaming {
-		sum, n = m.itemSum[item], float64(m.itemCnt[item])
-	} else {
-		for _, c := range m.consumersCached() {
-			if v, ok := m.ratings[c][item]; ok {
-				sum += v
-				n++
-			}
+	for _, c := range m.consumersCached() {
+		if v, ok := m.ratings[c][item]; ok {
+			sum += v
+			n++
 		}
 	}
 	if n == 0 {
@@ -563,19 +518,10 @@ func (m *Mechanism) consumersCached() []core.ConsumerID {
 }
 
 // meanOfCached memoizes meanOf per consumer; a submit from the consumer
-// drops just that entry. In streaming mode the recompute closure divides
-// the running sum instead of re-summing the row.
+// drops just that entry.
 //
 //lint:guarded meanOfCached runs with m.mu held by Score's locked section
 func (m *Mechanism) meanOfCached(c core.ConsumerID, row map[core.EntityID]float64) float64 {
-	if m.streaming {
-		return m.meanMemo.Get(nil, c, func() float64 {
-			if len(row) == 0 {
-				return 0.5
-			}
-			return m.consSum[c] / float64(len(row))
-		})
-	}
 	return m.meanMemo.Get(nil, c, func() float64 { return meanOf(row) })
 }
 
@@ -602,8 +548,6 @@ func (m *Mechanism) Reset() {
 	m.ratings = map[core.ConsumerID]map[core.EntityID]float64{}
 	m.simCache = map[core.ConsumerID]map[core.ConsumerID]simResult{}
 	m.itemCnt = map[core.EntityID]int{}
-	m.itemSum = map[core.EntityID]float64{}
-	m.consSum = map[core.ConsumerID]float64{}
 	m.consMemo.Invalidate()
 	m.iufMemo.Invalidate()
 	m.meanMemo.Reset()

@@ -26,41 +26,22 @@ type complaint struct {
 	Subject core.EntityID
 }
 
-// Option configures the mechanism.
-type Option func(*Mechanism)
-
-// WithComplaintThreshold sets the dissatisfaction bound below which a
-// feedback files a complaint (default 0.4).
-func WithComplaintThreshold(v float64) Option {
-	return func(m *Mechanism) { m.threshold = v }
-}
-
-// WithScoreCache memoizes Score answers per subject until a submit
-// touches them. Off by default, deliberately: a cache hit skips the
-// P-Grid lookups, so message counts shrink and the origin round-robin
-// stops rotating per query — communication-cost experiments (F4, C6)
-// must observe the full traffic, and under replica churn different
-// origins can even see different replicas. Enable it only when saved
-// traffic is the goal rather than the thing being measured.
-func WithScoreCache(on bool) Option {
-	return func(m *Mechanism) { m.cacheScores = on }
-}
+// complaintThreshold is the dissatisfaction bound below which a feedback
+// files a complaint.
+const complaintThreshold = 0.4
 
 // Mechanism is the complaint-based trust engine. Safe for concurrent use.
+//
+// Score does not memoize: every query performs the P-Grid lookups, so
+// message counts and the origin round-robin reflect the full traffic the
+// communication-cost experiments (F4, C6) measure.
 type Mechanism struct {
-	grid      *p2p.PGrid
-	origins   []p2p.NodeID
-	threshold float64
-
-	cacheScores bool
+	grid    *p2p.PGrid
+	origins []p2p.NodeID
 
 	mu           sync.Mutex
 	interactions map[core.EntityID]float64
 	originIdx    int
-	// mutations guards the unlock-compute-relock window: a Put is
-	// skipped when any submit landed while the grid was being queried.
-	mutations core.Epoch                                 // guarded by mu
-	scoreMemo core.KeyedMemo[core.EntityID, scoreResult] // guarded by mu
 	// Graceful degradation under faults: complaints this instance filed
 	// are tallied locally too (direct experience, free of network cost),
 	// and the last successfully fetched grid counts are kept per subject.
@@ -72,12 +53,6 @@ type Mechanism struct {
 	lostStores    int64                        // guarded by mu
 }
 
-// scoreResult caches one computed Score answer.
-type scoreResult struct {
-	tv core.TrustValue
-	ok bool
-}
-
 var (
 	_ core.Mechanism    = (*Mechanism)(nil)
 	_ core.Resetter     = (*Mechanism)(nil)
@@ -87,7 +62,7 @@ var (
 // New builds the mechanism over an existing P-Grid. origins are the nodes
 // submissions and queries are issued from (round-robin), normally the
 // consumers' own peers.
-func New(grid *p2p.PGrid, origins []p2p.NodeID, opts ...Option) (*Mechanism, error) {
+func New(grid *p2p.PGrid, origins []p2p.NodeID) (*Mechanism, error) {
 	if grid == nil {
 		return nil, fmt.Errorf("complaints: nil grid")
 	}
@@ -97,14 +72,10 @@ func New(grid *p2p.PGrid, origins []p2p.NodeID, opts ...Option) (*Mechanism, err
 	m := &Mechanism{
 		grid:          grid,
 		origins:       append([]p2p.NodeID(nil), origins...),
-		threshold:     0.4,
 		interactions:  map[core.EntityID]float64{},
 		localReceived: map[core.EntityID]float64{},
 		localFiled:    map[core.ConsumerID]float64{},
 		lastKnown:     map[core.EntityID][2]float64{},
-	}
-	for _, opt := range opts {
-		opt(m)
 	}
 	return m, nil
 }
@@ -141,14 +112,8 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 	}
 	m.mu.Lock()
 	m.interactions[fb.Service]++
-	m.mutations.Bump()
-	// The interaction count feeds the score directly; a filed complaint
-	// also changes the subject's received tally and the filer's filed
-	// tally (the filer is a scoreable subject too).
-	m.scoreMemo.Drop(fb.Service)
-	m.scoreMemo.Drop(core.EntityID(fb.Consumer))
 	m.mu.Unlock()
-	if fb.Overall() >= m.threshold {
+	if fb.Overall() >= complaintThreshold {
 		return nil
 	}
 	c := complaint{Filer: fb.Consumer, Subject: fb.Service}
@@ -214,13 +179,6 @@ func dedupCount(vals []any) float64 {
 func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	m.mu.Lock()
 	inter := m.interactions[q.Subject]
-	gen := m.mutations.N()
-	if m.cacheScores {
-		if r, hit := m.scoreMemo.Lookup(nil, q.Subject); hit {
-			m.mu.Unlock()
-			return r.tv, r.ok
-		}
-	}
 	m.mu.Unlock()
 	if inter == 0 {
 		return core.TrustValue{Score: 0.5, Confidence: 0}, false
@@ -253,16 +211,7 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	if degraded {
 		conf /= 2 // a stale or local-only basis deserves less confidence
 	}
-	tv := core.TrustValue{Score: score, Confidence: conf}
-	if m.cacheScores && !degraded {
-		// Degraded answers are transient — never worth caching.
-		m.mu.Lock()
-		if m.mutations.N() == gen {
-			m.scoreMemo.Put(nil, q.Subject, scoreResult{tv, true})
-		}
-		m.mu.Unlock()
-	}
-	return tv, true
+	return core.TrustValue{Score: score, Confidence: conf}, true
 }
 
 // MessageCount implements core.CostReporter: the traffic the grid's
@@ -280,6 +229,4 @@ func (m *Mechanism) Reset() {
 	m.localReceived = map[core.EntityID]float64{}
 	m.localFiled = map[core.ConsumerID]float64{}
 	m.lastKnown = map[core.EntityID][2]float64{}
-	m.mutations.Bump()
-	m.scoreMemo.Reset()
 }

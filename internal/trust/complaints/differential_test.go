@@ -2,7 +2,6 @@ package complaints_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"wstrust/internal/core"
@@ -12,7 +11,7 @@ import (
 	"wstrust/internal/trust/trusttest"
 )
 
-func newMechanism(t *testing.T, opts ...complaints.Option) *complaints.Mechanism {
+func newMechanism(t *testing.T) *complaints.Mechanism {
 	t.Helper()
 	net := p2p.NewNetwork()
 	ids := make([]p2p.NodeID, 16)
@@ -25,52 +24,28 @@ func newMechanism(t *testing.T, opts ...complaints.Option) *complaints.Mechanism
 	if err != nil {
 		t.Fatalf("build grid: %v", err)
 	}
-	m, err := complaints.New(grid, ids, opts...)
+	m, err := complaints.New(grid, ids)
 	if err != nil {
 		t.Fatalf("new mechanism: %v", err)
 	}
 	return m
 }
 
-// TestDifferential proves the opt-in score cache is pure memoization of
-// the P-Grid tally: replicas are written consistently, so a cached
-// score must be bit-identical to one re-fetched from the grid.
+// TestDifferential proves a long-lived instance answers exactly what a
+// fresh one rebuilt from the same feedback prefix answers: replicas are
+// written consistently, so the P-Grid tally does not depend on which
+// origin asks or how many queries came before.
 func TestDifferential(t *testing.T) {
 	trusttest.Differential(t, func() core.Mechanism {
-		return newMechanism(t, complaints.WithScoreCache(true))
+		return newMechanism(t)
 	}, trusttest.Market(47, 12, 8, 10, 0.6))
 }
 
-// TestCachedMatchesUncached feeds identical submit/query streams to a
-// cached and an uncached instance. Scores must agree exactly — the cache
-// only changes how many grid lookups happen (which is why it stays
-// opt-in: it shrinks the message counts the F4 experiment reports).
-func TestCachedMatchesUncached(t *testing.T) {
-	s := trusttest.Market(53, 12, 8, 10, 0.6)
-	cached := newMechanism(t, complaints.WithScoreCache(true))
-	plain := newMechanism(t)
-	for i, fb := range s.Feedbacks {
-		if err := cached.Submit(fb); err != nil {
-			t.Fatalf("cached submit %d: %v", i, err)
-		}
-		if err := plain.Submit(fb); err != nil {
-			t.Fatalf("plain submit %d: %v", i, err)
-		}
-		q := s.Queries[i%len(s.Queries)]
-		cv, cok := cached.Score(q)
-		pv, pok := plain.Score(q)
-		if cok != pok || math.Float64bits(cv.Score) != math.Float64bits(pv.Score) {
-			t.Fatalf("submit %d, query %+v: cached=%+v ok=%v plain=%+v ok=%v",
-				i, q, cv, cok, pv, pok)
-		}
-	}
-}
-
-// TestConcurrentSubmitScoreReset hammers the cached grid tally from
-// many goroutines, exercising the unlock-compute-relock Score path and
-// its epoch guard against racing submits; run with -race.
+// TestConcurrentSubmitScoreReset hammers the grid tally from many
+// goroutines, exercising Score's unlock-query-relock path against racing
+// submits and resets; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
-	m := newMechanism(t, complaints.WithScoreCache(true))
+	m := newMechanism(t)
 	trusttest.Hammer(t, m)
 	m.Reset()
 	if err := m.Submit(core.Feedback{

@@ -40,8 +40,8 @@ type entry struct {
 // tally is a subject's streaming feedback aggregate. The counters are
 // integers, so maintaining them at Submit time is bit-exact against a full
 // history scan — which is why the all-history (window == 0) score path
-// uses them unconditionally; only windowed scoring still walks the log.
-// Stored by value; updates never allocate.
+// uses them unconditionally; only windowed scoring keeps and walks the
+// log. Stored by value; updates never allocate.
 type tally struct {
 	pos, neg, total int
 }
@@ -61,8 +61,8 @@ type Mechanism struct {
 	window time.Duration
 
 	mu      sync.Mutex
-	history map[core.EntityID][]entry // per subject (service)
-	byProv  map[core.EntityID][]entry // per provider
+	history map[core.EntityID][]entry // per subject (service); kept only when windowed
+	byProv  map[core.EntityID][]entry // per provider; kept only when windowed
 	counts  map[core.EntityID]tally   // streaming aggregate per subject
 	provCnt map[core.EntityID]tally   // streaming aggregate per provider
 }
@@ -110,8 +110,11 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 	e := entry{value: Ternary(fb.Overall()), at: fb.At}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.history[fb.Service] = append(m.history[fb.Service], e)
 	m.noteSubmitLocked(fb.Service, fb.Provider, e.value)
+	if m.window == 0 {
+		return nil
+	}
+	m.history[fb.Service] = append(m.history[fb.Service], e)
 	if fb.Provider != "" {
 		m.byProv[fb.Provider] = append(m.byProv[fb.Provider], e)
 	}

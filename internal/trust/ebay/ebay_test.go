@@ -110,6 +110,30 @@ func TestWindowDropsOldFeedback(t *testing.T) {
 	}
 }
 
+// TestUnwindowedKeepsNoLog: with window 0 both scores answer from the
+// tallies, so Submit must not grow the rating logs.
+func TestUnwindowedKeepsNoLog(t *testing.T) {
+	m := New()
+	for i := 0; i < 100; i++ {
+		if err := m.Submit(fb("c001", "s001", float64(i%3)/2, simclock.Epoch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.history) != 0 || len(m.byProv) != 0 {
+		t.Fatalf("window 0 kept %d subject and %d provider logs, want none", len(m.history), len(m.byProv))
+	}
+	if tv, ok := m.ScoreProvider(core.Query{Subject: "p001"}); !ok || tv.Confidence == 0 {
+		t.Fatalf("provider score = %+v ok=%v, want an answer from the tally", tv, ok)
+	}
+	w := New(WithWindow(time.Hour))
+	if err := w.Submit(fb("c001", "s001", 1, simclock.Epoch)); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.history["s001"]) != 1 || len(w.byProv["p001"]) != 1 {
+		t.Fatalf("windowed instance logged %d/%d entries, want 1/1", len(w.history["s001"]), len(w.byProv["p001"]))
+	}
+}
+
 func TestProviderScore(t *testing.T) {
 	m := New()
 	_ = m.Submit(fb("c001", "s001", 1, simclock.Epoch))

@@ -24,17 +24,11 @@ import (
 	"wstrust/internal/p2p"
 )
 
+// alpha is the teleport weight toward pre-trusted peers.
+const alpha float64 = 0.15
+
 // Option configures the mechanism.
 type Option func(*Mechanism)
-
-// WithAlpha sets the teleport weight toward pre-trusted peers (default 0.15).
-func WithAlpha(a float64) Option {
-	return func(m *Mechanism) {
-		if a >= 0 && a < 1 {
-			m.alpha = a
-		}
-	}
-}
 
 // WithIterations sets the power-iteration count (default 25).
 func WithIterations(n int) Option {
@@ -94,7 +88,6 @@ func WithRebaseEvery(n int) Option {
 
 // Mechanism is the EigenTrust engine. Safe for concurrent use.
 type Mechanism struct {
-	alpha       float64
 	iters       int
 	eps         float64 // >0 enables incremental (warm-start) mode
 	rebaseEvery int
@@ -135,7 +128,6 @@ var (
 //lint:guarded New constructs the mechanism; it is not shared until returned
 func New(opts ...Option) *Mechanism {
 	m := &Mechanism{
-		alpha:       0.15,
 		iters:       25,
 		rebaseEvery: 1024,
 		local:       map[core.EntityID]map[core.EntityID]float64{},
@@ -279,7 +271,7 @@ func (m *Mechanism) computeLocked() etState {
 	res := 0.0
 	for it := 0; it < m.iters; it++ {
 		for j := range next {
-			next[j] = m.alpha * pvec[j]
+			next[j] = alpha * pvec[j]
 		}
 		for i := range peers {
 			if c[i] == nil || t[i] == 0 {
@@ -287,7 +279,7 @@ func (m *Mechanism) computeLocked() etState {
 			}
 			for j, cij := range c[i] {
 				if cij > 0 {
-					next[j] += (1 - m.alpha) * t[i] * cij
+					next[j] += (1 - alpha) * t[i] * cij
 				}
 			}
 		}

@@ -113,7 +113,7 @@ func (m *Mechanism) noteSubmitLocked(rater, subject core.EntityID, oldVal, newVa
 	}
 	// delta₀ += (1−α)·t[i]·(C_new[i]−C_old[i]): the rater's whole row
 	// renormalizes, so every rated subject shifts, not just j.
-	w := (1 - m.alpha) * ti
+	w := (1 - alpha) * ti
 	for sub, v := range m.local[rater] { // distinct targets; order-independent writes
 		k := s.idx[sub]
 		oldv := v
@@ -249,7 +249,7 @@ func (m *Mechanism) propagateLocked() {
 			if sum <= 0 {
 				continue
 			}
-			w := (1 - m.alpha) * ci / sum
+			w := (1 - alpha) * ci / sum
 			for sub, v := range m.local[s.peers[i]] {
 				if v <= 0 {
 					continue
@@ -319,7 +319,7 @@ func (m *Mechanism) denseRefreshLocked(warm bool) {
 	rounds, res, edges := 0, 0.0, 0
 	for rounds < maxRounds {
 		for j := range next {
-			next[j] = m.alpha * pvec[j]
+			next[j] = alpha * pvec[j]
 		}
 		edges = 0
 		for i := range s.peers { // ascending index order: deterministic accumulation
@@ -328,7 +328,7 @@ func (m *Mechanism) denseRefreshLocked(warm bool) {
 			if ti == 0 || sum <= 0 {
 				continue
 			}
-			w := (1 - m.alpha) * ti / sum
+			w := (1 - alpha) * ti / sum
 			for sub, v := range m.local[s.peers[i]] { // distinct targets per row
 				if v > 0 {
 					next[s.idx[sub]] += w * v

@@ -62,13 +62,14 @@ type entry struct {
 	value float64
 }
 
+// clusterGap is the minimum distance between cluster means before the
+// minority cluster is discarded.
+const clusterGap = 0.4
+
 // Mechanism applies the selected defense over a shared rating store.
 // Safe for concurrent use.
 type Mechanism struct {
 	strategy Strategy
-	// clusterGap is the inter-cluster distance that triggers discarding
-	// the minority cluster.
-	clusterGap float64
 
 	mu      sync.Mutex
 	ratings map[core.EntityID][]entry
@@ -80,31 +81,13 @@ var (
 	_ core.Resetter  = (*Mechanism)(nil)
 )
 
-// Option configures the mechanism.
-type Option func(*Mechanism)
-
-// WithClusterGap sets the minimum distance between cluster means before
-// the minority cluster is discarded (default 0.4).
-func WithClusterGap(g float64) Option {
-	return func(m *Mechanism) {
-		if g > 0 {
-			m.clusterGap = g
-		}
-	}
-}
-
 // New builds a defended mechanism.
-func New(s Strategy, opts ...Option) *Mechanism {
-	m := &Mechanism{
-		strategy:   s,
-		clusterGap: 0.4,
-		ratings:    map[core.EntityID][]entry{},
-		latest:     map[core.ConsumerID]map[core.EntityID]float64{},
+func New(s Strategy) *Mechanism {
+	return &Mechanism{
+		strategy: s,
+		ratings:  map[core.EntityID][]entry{},
+		latest:   map[core.ConsumerID]map[core.EntityID]float64{},
 	}
-	for _, opt := range opts {
-		opt(m)
-	}
-	return m
 }
 
 // Name implements core.Mechanism.
@@ -271,7 +254,7 @@ func (m *Mechanism) clusterScore(rs []entry) (float64, int) {
 			n1++
 		}
 	}
-	if n0 == 0 || n1 == 0 || math.Abs(c0-c1) < m.clusterGap {
+	if n0 == 0 || n1 == 0 || math.Abs(c0-c1) < clusterGap {
 		return meanOf(rs), len(rs)
 	}
 	// Keep the majority cluster.

@@ -26,17 +26,9 @@ import (
 // sums to one across nodes. Rank is deterministic: iteration follows the
 // sorted node order.
 func Rank(nodes []string, edges map[string]map[string]float64, damping float64, iters int) map[string]float64 {
-	r, _ := rankResidual(nodes, edges, damping, iters)
-	return r
-}
-
-// rankResidual is Rank plus the final iteration's L1 movement — the
-// residual the exact mode reports through core.ConvergenceStats. The extra
-// bookkeeping never alters the rank values.
-func rankResidual(nodes []string, edges map[string]map[string]float64, damping float64, iters int) (map[string]float64, float64) {
 	n := len(nodes)
 	if n == 0 {
-		return map[string]float64{}, 0
+		return map[string]float64{}
 	}
 	sorted := make([]string, n)
 	copy(sorted, nodes)
@@ -64,7 +56,6 @@ func rankResidual(nodes []string, edges map[string]map[string]float64, damping f
 		rank[v] = 1.0 / float64(n)
 	}
 	base := (1 - damping) / float64(n)
-	res := 0.0
 	for it := 0; it < iters; it++ {
 		next := make(map[string]float64, n)
 		var dangling float64
@@ -92,47 +83,22 @@ func rankResidual(nodes []string, edges map[string]map[string]float64, damping f
 				next[v] += share * row[v]
 			}
 		}
-		if it == iters-1 {
-			for _, v := range sorted {
-				res += math.Abs(next[v] - rank[v])
-			}
-		}
 		rank = next
 	}
-	return rank, res
+	return rank
 }
+
+// dampingFactor is the Mechanism's damping factor.
+const dampingFactor = 0.85
 
 // Option configures the Mechanism.
 type Option func(*Mechanism)
-
-// WithDamping sets the damping factor (default 0.85).
-func WithDamping(d float64) Option {
-	return func(m *Mechanism) {
-		if d > 0 && d < 1 {
-			m.damping = d
-		}
-	}
-}
 
 // WithIterations sets the power-iteration count (default 30).
 func WithIterations(n int) Option {
 	return func(m *Mechanism) {
 		if n > 0 {
 			m.iters = n
-		}
-	}
-}
-
-// WithEpsilon enables incremental (warm-start) mode: the mechanism keeps
-// its previous rank vector and each refresh re-iterates from it only until
-// the L1 residual falls to eps, instead of running the full fixed
-// iteration count from a uniform seed. Results track the exact mode within
-// the documented ε-closeness bound (DESIGN.md §8); exact mode (eps = 0,
-// the default) stays bit-compatible and remains what wsxsim runs.
-func WithEpsilon(eps float64) Option {
-	return func(m *Mechanism) {
-		if eps > 0 {
-			m.eps = eps
 		}
 	}
 }
@@ -144,9 +110,7 @@ func WithEpsilon(eps float64) Option {
 // concurrent use. The heavy computation runs in Tick, as fits a
 // batch-recomputed global mechanism.
 type Mechanism struct {
-	damping float64
-	iters   int
-	eps     float64 // >0 enables incremental (warm-start) mode
+	iters int
 
 	mu       sync.Mutex
 	edges    map[string]map[string]float64
@@ -158,9 +122,6 @@ type Mechanism struct {
 	// lazily, Tick recomputes eagerly.
 	epoch    core.Epoch           // guarded by mu
 	rankMemo core.Memo[rankState] // guarded by mu
-	// Incremental-mode state (see warm.go); nil in exact mode.
-	warm      *warmState            // guarded by mu
-	lastStats core.ConvergenceStats // guarded by mu
 }
 
 // rankState is one computed PageRank vector with its normalizer.
@@ -170,23 +131,19 @@ type rankState struct {
 }
 
 var (
-	_ core.Mechanism           = (*Mechanism)(nil)
-	_ core.Ticker              = (*Mechanism)(nil)
-	_ core.Resetter            = (*Mechanism)(nil)
-	_ core.ConvergenceReporter = (*Mechanism)(nil)
+	_ core.Mechanism = (*Mechanism)(nil)
+	_ core.Ticker    = (*Mechanism)(nil)
+	_ core.Resetter  = (*Mechanism)(nil)
 )
 
 // New builds a PageRank reputation mechanism.
 //
 //lint:guarded New constructs the mechanism; it is not shared until returned
 func New(opts ...Option) *Mechanism {
-	m := &Mechanism{damping: 0.85, iters: 30}
+	m := &Mechanism{iters: 30}
 	m.resetLocked()
 	for _, opt := range opts {
 		opt(m)
-	}
-	if m.eps > 0 {
-		m.warm = newWarmState()
 	}
 	return m
 }
@@ -225,9 +182,6 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 		m.addEdge(service, string(fb.Provider), 1)
 	}
 	m.epoch.Bump()
-	if m.warm != nil {
-		m.noteSubmitWarmLocked(consumer, service, string(fb.Provider), v)
-	}
 	return nil
 }
 
@@ -245,10 +199,6 @@ func (m *Mechanism) addEdge(u, v string, w float64) {
 func (m *Mechanism) Tick(time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.warm != nil {
-		m.refreshWarmLocked()
-		return
-	}
 	m.rankMemo.Update(&m.epoch, m.computeLocked())
 }
 
@@ -258,9 +208,7 @@ func (m *Mechanism) computeLocked() rankState {
 	for v := range m.nodes {
 		nodes = append(nodes, v)
 	}
-	ranks, res := rankResidual(nodes, m.edges, m.damping, m.iters)
-	st := rankState{ranks: ranks}
-	m.lastStats = core.ConvergenceStats{Iterations: m.iters, Residual: res, WarmStart: false}
+	st := rankState{ranks: Rank(nodes, m.edges, dampingFactor, m.iters)}
 	for v, r := range st.ranks {
 		if m.isTarget[v] && r > st.maxRank {
 			st.maxRank = r
@@ -274,9 +222,6 @@ func (m *Mechanism) computeLocked() rankState {
 func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.warm != nil {
-		return m.scoreWarmLocked(q)
-	}
 	st := m.rankMemo.Get(&m.epoch, m.computeLocked)
 	r, ok := st.ranks[string(q.Subject)]
 	if !ok || m.counts[q.Subject] == 0 {
@@ -295,8 +240,4 @@ func (m *Mechanism) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.resetLocked()
-	if m.warm != nil {
-		m.warm = newWarmState()
-	}
-	m.lastStats = core.ConvergenceStats{}
 }

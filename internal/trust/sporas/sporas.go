@@ -59,15 +59,6 @@ func WithHistosDepth(d int) Option {
 	}
 }
 
-// WithStreaming maintains Histos' agreement pairs incrementally instead of
-// evict-and-recompute: Submit folds the rating change into the running
-// |diff| sums of every pair it touches (via a per-service rater index), so
-// agreement(a,b) is O(1) at walk time rather than O(row) per cache miss.
-// Streamed sums accumulate in submission order rather than sorted-subject
-// order, so walk scores can differ from the exact mode in the last float
-// bits — streaming is opt-in and wsxsim's default stays the exact path.
-func WithStreaming(on bool) Option { return func(m *Mechanism) { m.streaming = on } }
-
 type sporasState struct {
 	r     float64 // current reputation in [0,1]
 	count int
@@ -83,32 +74,11 @@ type agrResult struct {
 }
 
 // Mechanism implements Sporas (+ optional Histos). Safe for concurrent use.
-// pairKey canonically orders an unordered rater pair (agreement is
-// symmetric), so each pair has one streaming aggregate.
-type pairKey struct{ a, b core.ConsumerID }
-
-func pairKeyOf(a, b core.ConsumerID) pairKey {
-	if b < a {
-		a, b = b, a
-	}
-	return pairKey{a, b}
-}
-
-// pairStat is one pair's running agreement aggregate: the sum of |diff|
-// over co-rated services and the overlap count. Stored by value so
-// updates never heap-allocate.
-type pairStat struct {
-	sum float64
-	n   int
-}
-
-// Mechanism implements Sporas (+ optional Histos). Safe for concurrent use.
 type Mechanism struct {
 	theta       float64
 	sigma       float64
 	histos      bool
 	histosDepth int
-	streaming   bool
 
 	mu    sync.Mutex
 	state map[core.EntityID]*sporasState
@@ -122,15 +92,8 @@ type Mechanism struct {
 	ratersEpoch core.Epoch                   // guarded by mu
 	ratersMemo  core.Memo[[]core.ConsumerID] // guarded by mu
 	// agrCache[a][b] caches agreement(a,b) as called; a submit from c
-	// deletes row c and column c. Exact mode only — streaming mode answers
-	// from pairs below and never consults it.
+	// deletes row c and column c.
 	agrCache map[core.ConsumerID]map[core.ConsumerID]agrResult // guarded by mu
-
-	// Streaming-mode state (see WithStreaming): ratersOf[s] is the sorted
-	// roster of raters with a latest rating for s; pairs holds each
-	// touched pair's running agreement aggregate.
-	ratersOf map[core.EntityID][]core.ConsumerID // guarded by mu
-	pairs    map[pairKey]pairStat                // guarded by mu
 }
 
 var (
@@ -147,8 +110,6 @@ func New(opts ...Option) *Mechanism {
 		state:       map[core.EntityID]*sporasState{},
 		latest:      map[core.ConsumerID]map[core.EntityID]float64{},
 		agrCache:    map[core.ConsumerID]map[core.ConsumerID]agrResult{},
-		ratersOf:    map[core.EntityID][]core.ConsumerID{},
-		pairs:       map[pairKey]pairStat{},
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -199,49 +160,11 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 		m.ratersEpoch.Bump()
 	}
 	old, existed := row[fb.Service]
-	if m.streaming && (!existed || old != w) {
-		m.notePairsLocked(fb.Consumer, fb.Service, old, existed, w)
-	}
 	row[fb.Service] = w
 	if !existed || old != w {
 		m.dropAgrLocked(fb.Consumer)
 	}
 	return nil
-}
-
-// notePairsLocked folds one rating change into the streaming agreement
-// aggregates: every rater who already rated the service shares a pair with
-// the submitter, and each pair's |diff| sum shifts by the rating's move.
-// Called under mu from Submit before the latest row is overwritten; this
-// is the per-rating steady path and allocates only when the rater roster
-// of the service grows.
-//
-//lint:guarded notePairsLocked runs with m.mu held by Submit
-//lint:hotpath
-func (m *Mechanism) notePairsLocked(c core.ConsumerID, service core.EntityID, old float64, existed bool, w float64) {
-	for _, b := range m.ratersOf[service] {
-		if b == c {
-			continue
-		}
-		rb := m.latest[b][service]
-		k := pairKeyOf(c, b)
-		p := m.pairs[k]
-		if existed {
-			p.sum += math.Abs(w-rb) - math.Abs(old-rb)
-		} else {
-			p.sum += math.Abs(w - rb)
-			p.n++
-		}
-		m.pairs[k] = p
-	}
-	if !existed {
-		lst := m.ratersOf[service]
-		i := sort.Search(len(lst), func(j int) bool { return lst[j] >= c })
-		lst = append(lst, c) //lint:hotalloc roster growth, not the per-rating steady state
-		copy(lst[i+1:], lst[i:])
-		lst[i] = c
-		m.ratersOf[service] = lst
-	}
 }
 
 // dropAgrLocked evicts every cached agreement involving c.
@@ -346,9 +269,6 @@ func (m *Mechanism) ratersCached() []core.ConsumerID {
 //
 //lint:guarded agreementCached runs with m.mu held by histosScore's caller
 func (m *Mechanism) agreementCached(a, b core.ConsumerID) (float64, bool) {
-	if m.streaming {
-		return m.agreementStreamLocked(a, b)
-	}
 	row, ok := m.agrCache[a]
 	if ok {
 		if r, hit := row[b]; hit {
@@ -361,22 +281,6 @@ func (m *Mechanism) agreementCached(a, b core.ConsumerID) (float64, bool) {
 	v, valid := m.agreement(a, b)
 	row[b] = agrResult{v, valid}
 	return v, valid
-}
-
-// agreementStreamLocked is the O(1) streaming answer to agreement(a,b):
-// the running |diff| sum over the pair's co-rated services, maintained by
-// notePairsLocked as ratings arrive.
-//
-//lint:guarded agreementStreamLocked runs with m.mu held by histosScore's caller
-func (m *Mechanism) agreementStreamLocked(a, b core.ConsumerID) (float64, bool) {
-	if len(m.latest[a]) == 0 || len(m.latest[b]) == 0 {
-		return 0, false
-	}
-	p, ok := m.pairs[pairKeyOf(a, b)]
-	if !ok || p.n == 0 {
-		return 0, false
-	}
-	return 1 - p.sum/float64(p.n), true
 }
 
 func sortEntityIDs(ids []core.ConsumerID) {
@@ -420,8 +324,6 @@ func (m *Mechanism) Reset() {
 	m.state = map[core.EntityID]*sporasState{}
 	m.latest = map[core.ConsumerID]map[core.EntityID]float64{}
 	m.agrCache = map[core.ConsumerID]map[core.ConsumerID]agrResult{}
-	m.ratersOf = map[core.EntityID][]core.ConsumerID{}
-	m.pairs = map[pairKey]pairStat{}
 	m.ratersMemo.Invalidate()
 	m.ratersEpoch.Bump()
 }

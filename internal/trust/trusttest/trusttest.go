@@ -91,9 +91,9 @@ func checkpoint(t *testing.T, warm core.Mechanism, build func() core.Mechanism, 
 
 // DifferentialEps is Differential for mechanisms whose incremental mode
 // answers within a bounded residual of the exact fixpoint rather than
-// bit-for-bit (warm-start EigenTrust / PageRank, DESIGN.md §8): the warm
-// instance comes from warmBuild, every checkpoint rebuilds a cold instance
-// from coldBuild, and scores must agree within tol. Found/not-found
+// bit-for-bit (warm-start EigenTrust, DESIGN.md §8): the warm instance
+// comes from warmBuild, every checkpoint rebuilds a cold instance from
+// coldBuild, and scores must agree within tol. Found/not-found
 // decisions must still match exactly. Pass the exact-mode constructor as
 // coldBuild to pin the ε-closeness contract against the golden-digest
 // configuration, or the incremental constructor itself to prove

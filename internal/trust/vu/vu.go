@@ -36,33 +36,20 @@ type report struct {
 // service; ok is false when the monitors have no data for it.
 type MonitorFunc func(core.ServiceID) (qos.Vector, bool)
 
-// Option configures the mechanism.
-type Option func(*Mechanism)
-
-// WithTolerance sets the maximum relative deviation between a consumer
-// report and the monitor view before the report counts as dishonest
-// (default 0.5).
-func WithTolerance(tol float64) Option {
-	return func(m *Mechanism) {
-		if tol > 0 {
-			m.tolerance = tol
-		}
-	}
-}
-
-// WithCredibilityCutoff sets the reporter credibility below which reports
-// are discarded outright (default 0.3).
-func WithCredibilityCutoff(c float64) Option {
-	return func(m *Mechanism) { m.cutoff = c }
-}
+const (
+	// tolerance is the maximum relative deviation between a consumer
+	// report and the monitor view before the report counts as dishonest.
+	tolerance = 0.5
+	// credibilityCutoff is the reporter credibility below which reports
+	// are discarded outright.
+	credibilityCutoff = 0.3
+)
 
 // Mechanism is the Vu et al. engine. Safe for concurrent use.
 type Mechanism struct {
-	grid      *p2p.PGrid
-	origins   []p2p.NodeID
-	monitor   MonitorFunc
-	tolerance float64
-	cutoff    float64
+	grid    *p2p.PGrid
+	origins []p2p.NodeID
+	monitor MonitorFunc
 
 	mu           sync.Mutex
 	originIdx    int
@@ -87,7 +74,7 @@ var (
 // New builds the mechanism over a P-Grid. monitor may be nil — detection
 // then degrades to credibility-only weighting, which is the paper's
 // scenario of services not covered by monitoring agents.
-func New(grid *p2p.PGrid, origins []p2p.NodeID, monitor MonitorFunc, opts ...Option) (*Mechanism, error) {
+func New(grid *p2p.PGrid, origins []p2p.NodeID, monitor MonitorFunc) (*Mechanism, error) {
 	if grid == nil {
 		return nil, fmt.Errorf("vu: nil grid")
 	}
@@ -98,17 +85,12 @@ func New(grid *p2p.PGrid, origins []p2p.NodeID, monitor MonitorFunc, opts ...Opt
 		grid:         grid,
 		origins:      append([]p2p.NodeID(nil), origins...),
 		monitor:      monitor,
-		tolerance:    0.5,
-		cutoff:       0.3,
 		interactions: map[core.EntityID]float64{},
 		credHit:      map[core.ConsumerID]float64{},
 		credMiss:     map[core.ConsumerID]float64{},
 		localSum:     map[core.EntityID]float64{},
 		localN:       map[core.EntityID]float64{},
 		lastKnown:    map[core.EntityID]core.TrustValue{},
-	}
-	for _, opt := range opts {
-		opt(m)
 	}
 	return m, nil
 }
@@ -181,7 +163,7 @@ func (m *Mechanism) honest(rep report, trusted qos.Vector) (bool, bool) {
 		}
 		compared = true
 		scale := math.Max(math.Abs(trustedVal), 1e-9)
-		if math.Abs(got-trustedVal)/scale > m.tolerance {
+		if math.Abs(got-trustedVal)/scale > tolerance {
 			return false, true
 		}
 	}
@@ -244,7 +226,7 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 			}
 		}
 		cred := (m.credHit[rep.Reporter] + 1) / (m.credHit[rep.Reporter] + m.credMiss[rep.Reporter] + 2)
-		if cred < m.cutoff {
+		if cred < credibilityCutoff {
 			continue
 		}
 		num += cred * rep.Overall
