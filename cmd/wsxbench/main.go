@@ -57,10 +57,12 @@ var jobSets = map[string]jobSet{
 		// seeded experiment suites per op.
 		{pkg: ".", bench: "^(BenchmarkSuiteSequential|BenchmarkSuiteParallel|BenchmarkClaimPersonalization)$", benchtime: "1x"},
 		{pkg: "./internal/trust/cf", bench: cfBench},
-		// Sharded registry submit paths vs the unsharded baseline, swept
-		// across GOMAXPROCS. The durable pair is the group-commit
-		// fsync-amortization claim; fixed iteration counts keep runs
-		// comparable.
+		// Registry submit paths vs the single-mutex baseline, swept
+		// across GOMAXPROCS. The "Sharded" names date from the 16
+		// lock-striped shards the one ordered log replaced; they stay so
+		// new runs line up with the recorded rows. The durable pair is the
+		// group-commit fsync-amortization claim; fixed iteration counts
+		// keep runs comparable.
 		{pkg: "./internal/registry", bench: "^(BenchmarkSubmitMemSharded|BenchmarkSubmitMemUnsharded|BenchmarkSubmitDurableGroupCommit|BenchmarkSubmitDurableUnsharded)$", benchtime: "2000x", cpu: "1,2,4"},
 	}},
 	"incremental": {"PR8", "wstrust benchmark record: incremental trust, delta-propagated scoring with warm-start fixpoints; refresh with `make bench-incremental`", []job{

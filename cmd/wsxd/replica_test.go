@@ -67,15 +67,18 @@ func submitHTTP(t *testing.T, h http.Handler, i int) {
 	}
 }
 
+// waitFollowerSeq waits until the follower has applied seqs 1..want. Its
+// LastSeq covers a commit still in flight, so the wait also needs the
+// records in the log (Len) before the caller reads them.
 func waitFollowerSeq(t *testing.T, s *server, want uint64) {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
-		if s.store.LastSeq() >= want {
+		if s.store.LastSeq() >= want && s.store.Len() >= int(want) {
 			return
 		}
 		simclock.SleepWall(time.Millisecond)
 	}
-	t.Fatalf("follower stuck at seq %d, want %d", s.store.LastSeq(), want)
+	t.Fatalf("follower stuck at seq %d with %d records, want %d", s.store.LastSeq(), s.store.Len(), want)
 }
 
 func TestFollowerReplicatesServesReadsAndRefusesWrites(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 	"sort"
 )
 
-// LockOrder machine-checks the concurrency discipline the sharded
-// registry, the group-commit WAL, and the resilience layer rely on:
+// LockOrder machine-checks the concurrency discipline the registry's log,
+// the group-commit WAL, and the resilience layer rely on:
 //
 //  1. A static lock-acquisition graph is accumulated across every
 //     analyzed package: acquiring mutex B while holding mutex A adds the
@@ -229,8 +229,8 @@ func (p *Pass) inNonBlockingSelect(node ast.Node) bool {
 
 // mutexOperand resolves an expression to a sync.Mutex/RWMutex identity:
 // a stable key for the graph and a short display name. Fields key on
-// owner-type.field, so every shard's mu is one graph node — exactly the
-// granularity lock-order reasoning wants.
+// owner-type.field, so every instance of one struct's mu is one graph
+// node — exactly the granularity lock-order reasoning wants.
 func (p *Pass) mutexOperand(x ast.Expr) (key, name string, ok bool) {
 	t := p.TypesInfo.TypeOf(x)
 	if !p.isSyncLockable(t) {

@@ -73,7 +73,7 @@ func TestSubmitBatchRejectsWhole(t *testing.T) {
 		t.Fatalf("rejected batch mutated the store: len=%d, want 1", s.Len())
 	}
 	if got := len(replayed(t, s)); got != 1 {
-		t.Fatalf("rejected batch leaked %d records into the shards", got-1)
+		t.Fatalf("rejected batch leaked %d records into the log", got-1)
 	}
 	if err := s.SubmitBatch(nil); err != nil {
 		t.Fatalf("empty batch must be a no-op, got %v", err)
@@ -134,8 +134,8 @@ func TestSubmitBatchClosed(t *testing.T) {
 }
 
 // TestSubmitBatchConcurrent interleaves batches with single submits across
-// goroutines (run under -race): counts must add up and every consumer's
-// history must be complete.
+// goroutines (run under -race): counts must add up, the log must hold
+// seqs 1..N in order, and every consumer's history must be complete.
 func TestSubmitBatchConcurrent(t *testing.T) {
 	s, _, err := Open(t.TempDir(), WALOptions{SyncEvery: 64})
 	if err != nil {
@@ -179,6 +179,9 @@ func TestSubmitBatchConcurrent(t *testing.T) {
 	if s.Len() != want {
 		t.Fatalf("Len = %d, want %d", s.Len(), want)
 	}
+	if seqs := sortedSeqs(t, s); seqs[len(seqs)-1] != uint64(want) {
+		t.Fatalf("log ends at seq %d, want %d", seqs[len(seqs)-1], want)
+	}
 	history := map[core.ConsumerID]int{}
 	for _, fb := range replayed(t, s) {
 		history[fb.Consumer]++
@@ -195,19 +198,19 @@ func TestSubmitBatchConcurrent(t *testing.T) {
 }
 
 // TestSubmitBatchSeqOrder proves batch records receive contiguous,
-// ascending sequence numbers so the merged log preserves batch order.
+// ascending sequence numbers so the log preserves batch order.
 func TestSubmitBatchSeqOrder(t *testing.T) {
 	s := NewStore()
 	var fbs []core.Feedback
 	for i := 0; i < 10; i++ {
-		fb := batchFeedback(0, 3, i) // one service: all land in one shard
+		fb := batchFeedback(0, 3, i)
 		fb.Ratings = map[core.Facet]float64{core.FacetOverall: float64(i) / 10}
 		fbs = append(fbs, fb)
 	}
 	if err := s.SubmitBatch(fbs); err != nil {
 		t.Fatal(err)
 	}
-	if seqs := sortedSeqs(s); !slices.Equal(seqs, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
+	if seqs := sortedSeqs(t, s); !slices.Equal(seqs, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
 		t.Fatalf("batch seqs %v, want 1..10", seqs)
 	}
 	got := replayed(t, s)

@@ -1,10 +1,13 @@
 package registry
 
 // Benchmarks for the PR 6 scaling claims, run at several GOMAXPROCS
-// settings (go test -cpu 1,2,4). unshardedStore replicates the pre-shard
-// design — one RWMutex over global maps, and for the durable variant one
-// frame write + fsync per Submit — so the sharded store and group-commit
-// WAL are measured against the exact architecture they replaced.
+// settings (go test -cpu 1,2,4). unshardedStore replicates the design
+// before them — one RWMutex over global maps, and for the durable variant
+// one frame write + fsync per Submit — so the store and its group-commit
+// WAL are measured against the architecture they replaced. The "Sharded"
+// names are kept so new runs line up with the rows BENCH_LEDGER.json
+// recorded when the store kept 16 lock-striped shards; the one ordered
+// log has since replaced them.
 
 import (
 	"hash/crc32"
@@ -76,6 +79,8 @@ func benchFeedback(n int) []core.Feedback {
 	return out
 }
 
+// BenchmarkSubmitMemSharded measures in-memory Submit from GOMAXPROCS
+// concurrent writers, each appending under the log's mutex.
 func BenchmarkSubmitMemSharded(b *testing.B) {
 	inputs := benchFeedback(4096)
 	st := NewStore()
@@ -215,10 +220,9 @@ func BenchmarkOpenReplay(b *testing.B) {
 }
 
 // raceFilledStore opens a durable store and fills it with n bootFeedback
-// records from 8 concurrent writers. Racing writers leave the shard
-// segments out of sequence order, as on a live primary under load. The
-// WAL is not fsynced until Close, so commits in the timed loops cost a
-// write but no fsync.
+// records from 8 concurrent writers, whose group commits batch them as on
+// a live primary under load. The WAL is not fsynced until Close, so
+// commits in the timed loops cost a write but no fsync.
 func raceFilledStore(b *testing.B, n int) *Store {
 	b.Helper()
 	s, _, err := Open(b.TempDir(), WALOptions{SyncEvery: 1 << 30})

@@ -6,10 +6,9 @@ package registry
 // already on disk and checksummed. extendSnapshot builds the new
 // snapshot.wsx from them, streaming through fixed buffers and verifying as
 // it copies, instead of re-marshalling every record from memory under the
-// world lock. The memory path (buildSnapshotDoc) stays for
-// the two cases the bytes on disk cannot serve: a failed check, where it
-// heals the rotted file, and a store whose memory no longer matches its
-// files (after Reset).
+// world lock. The memory path (buildSnapshotDoc over the log) stays for
+// the case the bytes on disk cannot serve: a failed check, where it heals
+// the rotted file.
 
 import (
 	"bufio"

@@ -60,16 +60,11 @@ func randFeedback(rng *rand.Rand, i int) core.Feedback {
 // they were.
 func compactsFromMemory(t *testing.T, s *Store) bool {
 	t.Helper()
-	var r *record
-	for i := range s.shards {
-		if recs := s.shards[i].recs; len(recs) > 0 {
-			r = &recs[0]
-			break
-		}
-	}
-	if r == nil {
+	v := s.log.view()
+	if v.n == 0 {
 		t.Fatal("no record to poison: an empty store compacts alike on both paths")
 	}
+	r := v.at(0)
 	orig := r.fb
 	r.fb.Ratings = map[core.Facet]float64{core.FacetOverall: math.NaN()}
 	err := s.Snapshot()
@@ -95,7 +90,7 @@ func seqRecords(recs []record) iter.Seq2[uint64, core.Feedback] {
 // memoryDoc is the snapshot the memory path writes for the store as it is.
 func memoryDoc(t *testing.T, s *Store) []byte {
 	t.Helper()
-	doc, _, err := buildSnapshotDoc(seqRecords(sortedRecords(s)), s.LastSeq(), s.Marks())
+	doc, _, err := buildSnapshotDoc(seqRecords(sortedRecords(t, s)), s.LastSeq(), s.Marks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,8 +342,7 @@ func historyStarts() map[string]func(t *testing.T, rng *rand.Rand, dir string) *
 // TestConcatSnapshotMatchesMemoryPath is the differential test of the two
 // compaction paths: on random histories from every kind of starting state
 // Open, SeedFromSnapshot and ResetReplica produce, the concatenated
-// snapshot equals buildSnapshotDoc over the records sorted by sequence
-// number byte for byte.
+// snapshot equals buildSnapshotDoc over the log byte for byte.
 func TestConcatSnapshotMatchesMemoryPath(t *testing.T) {
 	for name, start := range historyStarts() {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -512,47 +506,6 @@ func TestOddSnapshotIsReencoded(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestResetThenSnapshotWritesResetState: Reset clears memory but not the
-// files, so the snapshot after it must come from memory — the WAL and old
-// body describe records the store no longer holds.
-func TestResetThenSnapshotWritesResetState(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openT(t, dir, WALOptions{})
-	submitN(t, s, 0, 10)
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	submitN(t, s, 10, 14)
-	s.Reset()
-	submitN(t, s, 100, 103)
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := readFileT(t, filepath.Join(dir, snapshotName)), memoryDoc(t, s); !bytes.Equal(got, want) {
-		t.Fatalf("snapshot after Reset:\n got %q\nwant %q", got, want)
-	}
-	// Memory and files agree again: the next compaction concatenates,
-	// from the facts the memory path recorded.
-	submitN(t, s, 103, 105)
-	if compactsFromMemory(t, s) {
-		t.Fatal("compaction after the post-Reset snapshot took the memory path")
-	}
-	if got, want := readFileT(t, filepath.Join(dir, snapshotName)), memoryDoc(t, s); !bytes.Equal(got, want) {
-		t.Fatal("concatenated snapshot after Reset differs from the memory path")
-	}
-	want := exportOf(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, rec := openT(t, dir, WALOptions{})
-	if re.Len() != 5 || rec.SnapshotRecords != 5 || !bytes.Equal(exportOf(t, re), want) {
-		t.Fatalf("reopened %d records (%s), want the 5 written after Reset", re.Len(), rec)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -5,18 +5,18 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"wstrust/internal/core"
-	"wstrust/internal/simclock"
 )
 
 // TestShardingPreservesSubmissionOrder: sequential submits must read back
-// in exact submission order through every ordered read, regardless of
-// which shard each record landed in — the determinism contract golden
-// digests and wsxsim replays rely on.
+// in exact submission order through every ordered read, whatever service
+// each record rates — the determinism contract golden digests and wsxsim
+// replays rely on. (The name predates the one ordered log.)
 func TestShardingPreservesSubmissionOrder(t *testing.T) {
 	st := NewStore()
 	const n = 200
@@ -49,13 +49,13 @@ func TestShardingPreservesSubmissionOrder(t *testing.T) {
 	if !exportsEqual(t, st, re) {
 		t.Fatal("export/import round trip diverged")
 	}
-	// One consumer rating many services, spread across shards: every
-	// ordered read keeps submission order.
+	// One consumer rating many services: every ordered read keeps
+	// submission order.
 	st2 := NewStore()
 	for i := 0; i < 40; i++ {
 		fb := richFeedback(i)
 		fb.Consumer = "c-fixed"
-		fb.Service = core.NewServiceID(i) // spread across shards
+		fb.Service = core.NewServiceID(i)
 		if err := st2.Submit(fb); err != nil {
 			t.Fatal(err)
 		}
@@ -75,8 +75,9 @@ func TestShardingPreservesSubmissionOrder(t *testing.T) {
 }
 
 // TestDurableHammer drives concurrent Submit / reads / Snapshot / Sync on
-// a WAL-backed store across shards; run with -race. Afterwards the store
-// must reopen to exactly the acknowledged records.
+// a WAL-backed store; run with -race. Afterwards the log must hold seqs
+// 1..N in order, and the store must reopen to exactly the acknowledged
+// records.
 func TestDurableHammer(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openT(t, dir, WALOptions{SyncEvery: 8, SnapshotEvery: 0})
@@ -90,7 +91,7 @@ func TestDurableHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				fb := richFeedback(w*perG + i)
-				fb.Service = core.NewServiceID(i % 13) // spread across shards
+				fb.Service = core.NewServiceID(i % 13)
 				if err := st.Submit(fb); err != nil {
 					t.Error(err)
 					return
@@ -138,6 +139,9 @@ func TestDurableHammer(t *testing.T) {
 	wg.Wait()
 	if got := int64(st.Len()); got != acked.Load() {
 		t.Fatalf("Len = %d, acked = %d", got, acked.Load())
+	}
+	if seqs := sortedSeqs(t, st); seqs[len(seqs)-1] != uint64(acked.Load()) {
+		t.Fatalf("log ends at seq %d, acked %d", seqs[len(seqs)-1], acked.Load())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -307,20 +311,57 @@ func TestWALKillAndRecoverBatched(t *testing.T) {
 	}
 }
 
-// TestResetClearsReaders: after Reset, every ordered read sees only the
-// records written since.
-func TestResetClearsReaders(t *testing.T) {
-	st := NewStore()
-	_ = st.Submit(fb("c001", "s001", 0.4, simclock.Epoch))
-	st.Reset()
-	if got := exportOf(t, st); len(got) != 0 {
-		t.Fatalf("export after Reset: %s", got)
+// TestFailedWALWriteLogsNothing: a group commit whose write fails leaves
+// the log as it was. With the WAL's file swapped for a read-only handle,
+// Submit, SubmitBatch and ApplyReplicated each fail with the WAL's sticky
+// group-commit error, and Len, Export and FramesSince read what they read
+// before.
+func TestFailedWALWriteLogsNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir, WALOptions{})
+	submitN(t, s, 0, 5)
+	wantExport := exportOf(t, s)
+	wantFrames, err := s.FramesSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if frames, err := st.FramesSince(1, 0); err != nil || len(frames) != 0 {
-		t.Fatalf("FramesSince after Reset = %d frames, err %v", len(frames), err)
+	ro, err := os.Open(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = st.Submit(fb("c002", "s002", 0.6, simclock.Epoch))
-	if got := replayed(t, st); len(got) != 1 || got[0].Service != "s002" {
-		t.Fatalf("Replay after Reset fed %+v", got)
+	s.state.Lock()
+	rw := s.wal.f
+	s.wal.f = ro
+	s.state.Unlock()
+	defer func() {
+		if err := rw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	var sticky error
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "wal group commit") {
+			t.Fatalf("%s on an unwritable WAL gave %v, want the group-commit error", what, err)
+		}
+		if sticky == nil {
+			sticky = err
+		} else if err != sticky {
+			t.Fatalf("%s gave %v, not the sticky %v", what, err, sticky)
+		}
+		if s.Len() != 5 || !bytes.Equal(exportOf(t, s), wantExport) {
+			t.Fatalf("after a failed %s the log holds %d records, want the 5 written", what, s.Len())
+		}
+		if got, err := s.FramesSince(0, 0); err != nil || !sameFrames(got, wantFrames) {
+			t.Fatalf("after a failed %s FramesSince shipped %d frames (err %v), want the 5 written", what, len(got), err)
+		}
+	}
+	check("Submit", s.Submit(richFeedback(5)))
+	check("SubmitBatch", s.SubmitBatch([]core.Feedback{richFeedback(6), richFeedback(7)}))
+	_, err = s.ApplyReplicated([]Frame{frameFor(t, 0, s.LastSeq()+1, 8)})
+	check("ApplyReplicated", err)
+	if err := s.Close(); err == nil {
+		t.Fatal("Close of a broken WAL reported no error")
 	}
 }

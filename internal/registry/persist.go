@@ -90,12 +90,12 @@ func marshalRecord(fb core.Feedback) ([]byte, error) {
 }
 
 // Export writes the full feedback log as line-delimited JSON, in
-// submission (sequence) order. It merges the shard segments (bySeq), so
+// submission (sequence) order. It walks the log without its lock, so
 // concurrent submits are not blocked.
 func (s *Store) Export(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	i := 0
-	for _, fb := range s.bySeq() {
+	for _, fb := range s.log.view().all() {
 		if err := enc.Encode(toRecord(fb)); err != nil {
 			return fmt.Errorf("registry: export record %d: %w", i, err)
 		}
@@ -134,7 +134,7 @@ func (s *Store) Import(r io.Reader) (int, error) {
 // (sequence) order — rebuilding a reputation state from a persisted log.
 func (s *Store) Replay(mech core.Mechanism) (int, error) {
 	n := 0
-	for _, fb := range s.bySeq() {
+	for _, fb := range s.log.view().all() {
 		if err := mech.Submit(fb); err != nil {
 			return n, fmt.Errorf("registry: replay record %d: %w", n, err)
 		}

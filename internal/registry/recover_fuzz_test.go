@@ -119,11 +119,7 @@ func FuzzWALRecover(f *testing.F) {
 		if st.Len() > 0 && st.LastSeq() == 0 {
 			t.Fatalf("store holds %d records but reports sequence 0", st.Len())
 		}
-		for i, seqs := 1, sortedSeqs(st); i < len(seqs); i++ {
-			if seqs[i] <= seqs[i-1] {
-				t.Fatalf("recovered seqs do not strictly increase: %d after %d (%s)", seqs[i], seqs[i-1], rec)
-			}
-		}
+		sortedSeqs(t, st) // the recovered seqs strictly increase
 		// The recovered store must remain writable: the WAL tail was
 		// truncated to a clean frame boundary.
 		if err := st.Submit(richFeedback(999)); err != nil {
@@ -132,7 +128,7 @@ func FuzzWALRecover(f *testing.F) {
 		if err := st.Snapshot(); err != nil {
 			t.Fatalf("recovered store fails to compact: %v", err)
 		}
-		seqs, records := sortedSeqs(st), exportOf(t, st)
+		seqs, records := sortedSeqs(t, st), exportOf(t, st)
 		if err := st.Close(); err != nil {
 			t.Fatalf("close recovered store: %v", err)
 		}
@@ -148,7 +144,7 @@ func FuzzWALRecover(f *testing.F) {
 		if re.Len() != st.Len() || rec.SnapshotCorrupt || rec.Torn {
 			t.Fatalf("compacted store of %d records reopened as %d (%s)", st.Len(), re.Len(), rec)
 		}
-		if got := sortedSeqs(re); !slices.Equal(got, seqs) || !bytes.Equal(exportOf(t, re), records) {
+		if got := sortedSeqs(t, re); !slices.Equal(got, seqs) || !bytes.Equal(exportOf(t, re), records) {
 			t.Fatalf("compacted store reopened with other records or seqs: %v, want %v", got, seqs)
 		}
 	})

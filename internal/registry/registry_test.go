@@ -80,19 +80,3 @@ func TestMessageAccounting(t *testing.T) {
 		t.Fatalf("MessageCount = %d after reads, want 3", got)
 	}
 }
-
-func TestResetKeepsMessages(t *testing.T) {
-	st := NewStore()
-	_ = st.Submit(fb("c001", "s001", 1, simclock.Epoch))
-	msgs := st.MessageCount()
-	st.Reset()
-	if st.Len() != 0 {
-		t.Fatal("Reset did not clear log")
-	}
-	if st.MessageCount() != msgs {
-		t.Fatal("Reset cleared message accounting")
-	}
-	if got := exportOf(t, st); len(got) != 0 {
-		t.Fatalf("post-reset export = %s", got)
-	}
-}

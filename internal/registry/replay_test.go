@@ -2,7 +2,6 @@ package registry
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -41,42 +40,47 @@ func replayed(t *testing.T, s *Store) []core.Feedback {
 }
 
 // sortedRecords is the test-side reference for the store's ordered reads:
-// every shard record, sorted by sequence number.
-func sortedRecords(s *Store) []record {
-	var all []record
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		all = append(all, sh.recs...)
-		sh.mu.RUnlock()
+// every record in the log, read chunk by chunk, which fails the test
+// unless their sequence numbers strictly ascend.
+func sortedRecords(t testing.TB, s *Store) []record {
+	t.Helper()
+	s.log.mu.Lock()
+	defer s.log.mu.Unlock()
+	all := make([]record, 0, s.log.n)
+	for _, c := range s.log.chunks {
+		all = append(all, c[:min(logChunk, s.log.n-len(all))]...)
 	}
-	slices.SortFunc(all, func(a, b record) int { return cmp.Compare(a.seq, b.seq) })
+	for i := 1; i < len(all); i++ {
+		if all[i].seq <= all[i-1].seq {
+			t.Fatalf("log holds seq %d at %d, after seq %d", all[i].seq, i, all[i-1].seq)
+		}
+	}
 	return all
 }
 
 // sortedLog is the feedback of sortedRecords, and sortedSeqs their
 // sequence numbers.
-func sortedLog(s *Store) []core.Feedback {
+func sortedLog(t testing.TB, s *Store) []core.Feedback {
 	var log []core.Feedback
-	for _, r := range sortedRecords(s) {
+	for _, r := range sortedRecords(t, s) {
 		log = append(log, r.fb)
 	}
 	return log
 }
 
-func sortedSeqs(s *Store) []uint64 {
+func sortedSeqs(t testing.TB, s *Store) []uint64 {
 	var seqs []uint64
-	for _, r := range sortedRecords(s) {
+	for _, r := range sortedRecords(t, s) {
 		seqs = append(seqs, r.seq)
 	}
 	return seqs
 }
 
-// viewPath is the reference Open + Replay must match: every record sorted
-// by sequence number and decoded by encoding/json.
+// viewPath is the reference Open + Replay must match: every record in
+// sequence order, decoded by encoding/json.
 func viewPath(t *testing.T, s *Store) []core.Feedback {
 	t.Helper()
-	log := sortedLog(s)
+	log := sortedLog(t, s)
 	out := make([]core.Feedback, len(log))
 	for i, fb := range log {
 		var err error
@@ -99,7 +103,7 @@ func bootMatchesViewPath(t *testing.T, h *history, reopen func()) {
 		t.Fatalf("Open + Replay fed %d records, the view path %d; first difference at %d",
 			len(got), len(want), firstDiff(got, want))
 	}
-	if log := sortedLog(h.s); !reflect.DeepEqual(got, log) {
+	if log := sortedLog(t, h.s); !reflect.DeepEqual(got, log) {
 		t.Fatal("Replay order differs from the reopened store's sequence order")
 	}
 }
@@ -117,8 +121,8 @@ func firstDiff(a, b []core.Feedback) int {
 // path: on random histories from fresh, legacy-s1, corrupt-snapshot,
 // seeded and reset-replica starts, each reopen — plain or over frames the
 // snapshot covers — feeds a mechanism the same records in the same order
-// as the view path with encoding/json did: every record sorted by
-// sequence number and decoded by encoding/json.
+// as the view path with encoding/json did: every record in sequence order,
+// decoded by encoding/json.
 func TestOpenReplayMatchesViewPath(t *testing.T) {
 	for name, start := range historyStarts() {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -126,7 +130,7 @@ func TestOpenReplayMatchesViewPath(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				dir := t.TempDir()
 				h := &history{t: t, rng: rng, dir: dir, s: start(t, rng, dir), next: 10000}
-				if got, want := replayed(t, h.s), sortedLog(h.s); !reflect.DeepEqual(got, want) {
+				if got, want := replayed(t, h.s), sortedLog(t, h.s); !reflect.DeepEqual(got, want) {
 					t.Fatal("Replay of the start state differs from its sequence order")
 				}
 				for i := 0; i < 12; i++ {
@@ -159,44 +163,10 @@ func TestOpenReplayMatchesViewPath(t *testing.T) {
 	}
 }
 
-// TestReplayOrdersOutOfOrderSegments: a racing writer can leave a shard
-// segment out of sequence order, its apply landing after a later
-// sequence number's. Replay still feeds the records in sequence order.
-func TestReplayOrdersOutOfOrderSegments(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 300
-	want := make([]core.Feedback, n)
-	s := NewStore()
-	for _, i := range rng.Perm(n) {
-		fb := randFeedback(rng, i)
-		want[i] = fb
-		sh := &s.shards[shardFor(fb.Service)]
-		sh.mu.Lock()
-		sh.apply(uint64(i+1), fb)
-		sh.mu.Unlock()
-		s.count.Add(1)
-	}
-	s.seq.Store(n)
-	sorted := 0
-	for i := range s.shards {
-		recs := s.shards[i].recs
-		if slices.IsSortedFunc(recs, func(a, b record) int { return cmp.Compare(a.seq, b.seq) }) {
-			sorted++
-		}
-	}
-	if sorted == shardCount {
-		t.Fatal("no shard segment is out of order: the test checks nothing")
-	}
-	got := replayed(t, s)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Replay fed records out of sequence order; first difference at %d", firstDiff(got, want))
-	}
-}
-
-// TestReplayDuringSubmits: Replay reads the shard segments while writers
-// append to them (run it under -race). No pass feeds more records than
-// were written, and once the writers are done Replay feeds exactly the
-// records in sequence order.
+// TestReplayDuringSubmits: Replay reads the log while writers append to
+// it (run it under -race). No pass feeds more records than were written,
+// and once the writers are done Replay feeds exactly the records, in
+// strictly ascending sequence order.
 func TestReplayDuringSubmits(t *testing.T) {
 	s := NewStore()
 	const writers, each = 4, 200
@@ -221,7 +191,7 @@ func TestReplayDuringSubmits(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got, want := replayed(t, s), sortedLog(s); len(got) != writers*each || !reflect.DeepEqual(got, want) {
+	if got, want := replayed(t, s), sortedLog(t, s); len(got) != writers*each || !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the writers, Replay fed %d records, not the %d held", len(got), len(want))
 	}
 }
@@ -255,7 +225,7 @@ func TestRecoverySkipsDuplicateFrame(t *testing.T) {
 	if got, want := readFileT(t, filepath.Join(dir, snapshotName)), memoryDoc(t, s); !bytes.Equal(got, want) {
 		t.Fatalf("snapshot after a duplicated frame:\n got %q\nwant %q", got, want)
 	}
-	if seqs := sortedSeqs(s); !slices.Equal(seqs, []uint64{1, 2, 3}) {
+	if seqs := sortedSeqs(t, s); !slices.Equal(seqs, []uint64{1, 2, 3}) {
 		t.Fatalf("recovered seqs %v, want [1 2 3]", seqs)
 	}
 	want := exportOf(t, s)
@@ -268,7 +238,7 @@ func TestRecoverySkipsDuplicateFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if !slices.Equal(sortedSeqs(re), []uint64{1, 2, 3}) || !bytes.Equal(exportOf(t, re), want) || rec.SkippedRecords != 0 {
-		t.Fatalf("reopened to seqs %v (%s)", sortedSeqs(re), rec)
+	if !slices.Equal(sortedSeqs(t, re), []uint64{1, 2, 3}) || !bytes.Equal(exportOf(t, re), want) || rec.SkippedRecords != 0 {
+		t.Fatalf("reopened to seqs %v (%s)", sortedSeqs(t, re), rec)
 	}
 }

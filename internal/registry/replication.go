@@ -3,8 +3,9 @@ package registry
 // Replication surface of the store (PR 10). A primary ships its committed
 // WAL frames to followers; a follower applies them through
 // ApplyReplicated, which re-runs the exact durable path Submit uses (WAL
-// group commit, then shard apply), so a replica's on-disk log is
-// byte-identical to the primary's frame for frame.
+// group commit, whose leader appends the written records to the log), so
+// a replica's on-disk log is byte-identical to the primary's frame for
+// frame.
 //
 // Fencing epochs make failover safe. Every frame carries the epoch of the
 // primary that wrote it (epoch 0 frames keep the legacy "w1" layout).
@@ -15,14 +16,13 @@ package registry
 // as diverged and must re-seed from a snapshot. The marks are tiny
 // (one line per promotion, ever) and shipped alongside the stream.
 //
-// The read side — FramesSince, WriteSnapshotTo — reads the shard segments
-// without holding their locks, so shipping frames never blocks the write
-// path. Updates exposes a channel-close broadcast that fires on every
-// commit, letting a streamer block for "new frames" without polling.
+// The read side — FramesSince, WriteSnapshotTo — reads the log without
+// holding its lock, so shipping frames never blocks the write path.
+// Updates exposes a channel-close broadcast that fires on every commit,
+// letting a streamer block for "new frames" without polling.
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -30,7 +30,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -50,8 +50,8 @@ var (
 	// history does not assign to its sequence number — the write of a
 	// deposed primary.
 	ErrFenced = errors.New("registry: frame epoch fenced")
-	// ErrHorizon reports a FramesSince cursor older than the in-memory
-	// log's horizon; the caller must bootstrap from a snapshot instead.
+	// ErrHorizon reports a FramesSince cursor older than the log's first
+	// record; the caller must bootstrap from a snapshot instead.
 	ErrHorizon = errors.New("registry: requested frames are before the log horizon")
 )
 
@@ -148,7 +148,10 @@ func clipForError(line []byte) []byte {
 	return line
 }
 
-// LastSeq returns the highest committed sequence number.
+// LastSeq returns the highest assigned sequence number. On a durable
+// store that includes a commit still in flight, or one whose write failed:
+// a commit takes its seqs before its frames are written and logged, so
+// LastSeq can run ahead of Len and FramesSince.
 func (s *Store) LastSeq() uint64 { return s.seq.Load() }
 
 // Epoch returns the store's current fencing epoch.
@@ -354,43 +357,30 @@ func (s *Store) notifyCommit() {
 }
 
 // FramesSince returns up to limit committed frames with sequence numbers
-// > after, in order, read from the shard segments without blocking the
-// write path. An empty result means the caller is caught up; ErrHorizon
-// means after predates the in-memory log (possible after an experiment
-// Reset) and the caller must bootstrap from a snapshot.
-//
-// Only the contiguous run starting exactly at the cursor ships. A racing
-// writer's shard apply can land after a later sequence number's, so the
-// segments may hold seq k+1 without seq k for a moment; the missing
-// record's commit broadcast wakes the stream again shortly.
+// > after, in order. It binary-searches the log for the cursor and reads
+// the records behind it without blocking the write path. An empty result
+// means the caller is caught up; ErrHorizon means after predates the log
+// (a store reopened WAL-only from a corrupt snapshot starts past seq 1)
+// and the caller must bootstrap from a snapshot. Only the contiguous run
+// starting exactly at the cursor ships: a store recovered from a mangled
+// image can hold a gap in its seqs, which no frame can cross.
 func (s *Store) FramesSince(after uint64, limit int) ([]Frame, error) {
 	if limit <= 0 {
 		limit = 1 << 9
 	}
-	// Take from each segment only the seqs in (after, after+limit], noting
-	// the lowest and highest seq held for the caught-up and horizon checks.
-	first, last := ^uint64(0), uint64(0)
-	var window []*record
-	for _, seg := range s.segments() {
-		for i := range seg {
-			seq := seg[i].seq
-			first, last = min(first, seq), max(last, seq)
-			if seq > after && seq-after <= uint64(limit) {
-				window = append(window, &seg[i])
-			}
-		}
-	}
-	if after >= last {
+	v := s.log.view()
+	if v.n == 0 || after >= v.at(v.n-1).seq {
 		return nil, nil
 	}
-	if after+1 < first {
-		return nil, fmt.Errorf("%w: cursor %d predates the in-memory log", ErrHorizon, after)
+	if after+1 < v.at(0).seq {
+		return nil, fmt.Errorf("%w: cursor %d predates the log", ErrHorizon, after)
 	}
-	slices.SortFunc(window, func(a, b *record) int { return cmp.Compare(a.seq, b.seq) })
 	marks := s.Marks()
-	frames := make([]Frame, 0, len(window))
-	for i, r := range window {
-		if r.seq != after+1+uint64(i) {
+	i := sort.Search(v.n, func(i int) bool { return v.at(i).seq > after })
+	frames := make([]Frame, 0, min(limit, v.n-i))
+	for ; i < v.n && len(frames) < limit; i++ {
+		r := v.at(i)
+		if r.seq != after+1+uint64(len(frames)) {
 			break // gap: stop at the contiguous run from the cursor
 		}
 		payload, err := marshalRecord(r.fb)
@@ -403,12 +393,13 @@ func (s *Store) FramesSince(after uint64, limit int) ([]Frame, error) {
 }
 
 // ApplyReplicated appends frames a primary shipped, running the same
-// durable path as Submit: WAL group commit first, then shard apply. The
-// batch must contiguously extend the store's sequence (ErrSeqGap
-// otherwise) and every frame's epoch must match what the installed mark
-// history assigns to its sequence number (ErrFenced otherwise — the
-// frame was written by a deposed primary). Replicated records do not
-// count as consumer messages; they were counted at first submission.
+// durable path as Submit: the records enter the log once the WAL group
+// commit has written them. The batch must contiguously extend the store's
+// sequence (ErrSeqGap otherwise) and every frame's epoch must match what
+// the installed mark history assigns to its sequence number (ErrFenced
+// otherwise — the frame was written by a deposed primary). Replicated
+// records do not count as consumer messages; they were counted at first
+// submission.
 //
 // The store must not accept local Submits concurrently — replica roles
 // are exclusive (wsxd rejects writes in follower role), and the seq
@@ -444,39 +435,32 @@ func (s *Store) ApplyReplicated(frames []Frame) ([]core.Feedback, error) {
 		return nil, fmt.Errorf("%w: batch starts at %d, want %d", ErrSeqGap, frames[0].Seq, want)
 	}
 	if s.wal != nil {
-		if err := s.wal.commitReplicated(&s.seq, frames); err != nil {
+		if err := s.wal.commitReplicated(&s.seq, frames, fbs); err != nil {
 			s.state.RUnlock()
 			return nil, err
 		}
 	} else {
+		s.log.mu.Lock()
+		for i := range fbs {
+			s.log.push(record{seq: frames[i].Seq, fb: fbs[i]})
+		}
 		s.seq.Store(frames[len(frames)-1].Seq)
+		s.log.mu.Unlock()
 	}
-	for i := range fbs {
-		sh := &s.shards[shardFor(fbs[i].Service)]
-		sh.mu.Lock()
-		sh.apply(frames[i].Seq, fbs[i])
-		sh.mu.Unlock()
-	}
-	s.count.Add(int64(len(fbs)))
-	compact := s.wal != nil && s.wal.shouldCompact()
-	s.state.RUnlock()
-	s.notifyCommit()
-	if compact {
-		s.compact()
-	}
+	s.endWrite()
 	return fbs, nil
 }
 
 // WriteSnapshotTo streams the store's full state in the checksummed
 // snapshot document format — the payload of a replica bootstrap transfer.
-// It merges the shard segments (bySeq), so concurrent submits are not
-// blocked. The document stops at the first sequence gap: a racing
-// writer's shard apply may not have landed yet, and the follower streams
-// whatever the document leaves out. Its lastSeq is the last record's.
+// It walks the log without its lock, so concurrent submits are not
+// blocked. The document stops at the first sequence gap, which only a
+// store recovered from a mangled image holds; its lastSeq is the last
+// record's.
 func (s *Store) WriteSnapshotTo(w io.Writer) (records int, lastSeq uint64, err error) {
 	prefix := func(yield func(uint64, core.Feedback) bool) {
 		prev := uint64(0) // no record has sequence number 0
-		for seq, fb := range s.bySeq() {
+		for seq, fb := range s.log.view().all() {
 			if (prev != 0 && seq != prev+1) || !yield(seq, fb) {
 				return
 			}
@@ -514,7 +498,7 @@ func (s *Store) SeedFromSnapshot(data []byte) (int, error) {
 		s.state.Unlock()
 		return 0, errors.New("registry: store is closed")
 	}
-	if s.count.Load() != 0 || s.seq.Load() != 0 {
+	if s.Len() != 0 || s.seq.Load() != 0 {
 		s.state.Unlock()
 		return 0, errors.New("registry: seed requires an empty store (ResetReplica first)")
 	}
@@ -560,13 +544,10 @@ func (s *Store) ResetReplica() error {
 		s.state.Unlock()
 		return errors.New("registry: store is closed")
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.recs = nil
-		sh.mu.Unlock()
-	}
-	s.count.Store(0)
+	// Fresh chunks, never the old ones: a reader may still hold them.
+	s.log.mu.Lock()
+	s.log.chunks, s.log.n = nil, 0
+	s.log.mu.Unlock()
 	s.seq.Store(0)
 	if s.wal != nil {
 		s.snap = snapFacts{}
@@ -597,9 +578,7 @@ func (s *Store) ResetReplica() error {
 func (w *walWriter) resetForReseed() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.pending = w.pending[:0]
-	w.pendingFrames = 0
-	w.pendingTop = 0
+	w.pending = walBatch{}
 	w.acked = 0
 	w.unsynced = 0
 	w.frames = 0

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -220,16 +219,15 @@ func sameFrames(a, b []Frame) bool {
 	})
 }
 
-// TestOutOfOrderGappedSegments: racing writers leave shard segments out
-// of sequence order, and a sequence number stays missing until its
-// writer's shard apply lands. The test builds that state directly —
-// records 1..n but one, appended to their segments in a shuffled order —
-// and checks every ordered read: FramesSince ships exactly the
-// contiguous run from each cursor, WriteSnapshotTo stops at the gap,
-// Export and Replay come out in sequence order. It then covers
-// ErrHorizon after a Reset.
-func TestOutOfOrderGappedSegments(t *testing.T) {
-	const n, gap = 60, 37
+// TestGappedLogAcrossChunks: a store recovered from a mangled image can
+// hold a gap in its seqs. The test builds such a log directly — records
+// 1..n but one, with the gap between the last record of the first chunk
+// and the first of the second — and checks every ordered read from
+// cursors on both sides of the chunk boundary: FramesSince ships exactly
+// the contiguous run from each cursor, WriteSnapshotTo stops at the gap,
+// Export and Replay feed every record in sequence order.
+func TestGappedLogAcrossChunks(t *testing.T) {
+	const n, gap = logChunk + 40, logChunk + 1
 	rng := rand.New(rand.NewSource(7))
 	s := NewStore()
 	marks := []EpochMark{{Epoch: 1, Start: 20}}
@@ -245,26 +243,18 @@ func TestOutOfOrderGappedSegments(t *testing.T) {
 		fb := randFeedback(rng, int(seq))
 		fbs = append(fbs, fb)
 		want = append(want, Frame{Epoch: epochAt(marks, seq), Seq: seq, Payload: marshalT(t, fb)})
-	}
-	for _, i := range rng.Perm(len(fbs)) {
-		sh := &s.shards[shardFor(fbs[i].Service)]
-		sh.mu.Lock()
-		sh.apply(want[i].Seq, fbs[i])
-		sh.mu.Unlock()
-		s.count.Add(1)
+		s.log.add(record{seq: seq, fb: fb})
 	}
 	s.seq.Store(n)
-	inOrder := 0
-	for i := range s.shards {
-		if slices.IsSortedFunc(s.shards[i].recs, func(a, b record) int { return cmp.Compare(a.seq, b.seq) }) {
-			inOrder++
-		}
-	}
-	if inOrder == shardCount {
-		t.Fatal("every segment is in sequence order: the test checks nothing")
+	if v := s.log.view(); len(v.chunks) != 2 || v.chunks[0][logChunk-1].seq != gap-1 || v.chunks[1][0].seq != gap+1 {
+		t.Fatal("the gap does not fall between the first two chunks: the test checks nothing")
 	}
 
-	for after := uint64(0); after <= n; after++ {
+	cursors := []uint64{0, 1, 2}
+	for after := uint64(logChunk - 12); after <= n; after++ {
+		cursors = append(cursors, after)
+	}
+	for _, after := range cursors {
 		// The run from the cursor ends before the gap, or at n past it.
 		end := uint64(n)
 		if after < gap {
@@ -300,7 +290,7 @@ func TestOutOfOrderGappedSegments(t *testing.T) {
 	if _, err := seeded.SeedFromSnapshot(doc.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := seeded.FramesSince(0, 0); err != nil || !sameFrames(got, want[:gap-1]) {
+	if got, err := seeded.FramesSince(0, 1<<20); err != nil || !sameFrames(got, want[:gap-1]) {
 		t.Fatalf("the document seeds %d frames (err %v), want the %d before the gap", len(got), err, gap-1)
 	}
 
@@ -316,23 +306,6 @@ func TestOutOfOrderGappedSegments(t *testing.T) {
 	}
 	if got := replayed(t, s); !reflect.DeepEqual(got, fbs) {
 		t.Fatal("Replay is not in sequence order")
-	}
-
-	// After Reset at seq n and one Submit, a cursor below n predates the
-	// in-memory log, and cursor n ships record n+1.
-	s.Reset()
-	fb := randFeedback(rng, n+1)
-	if err := s.Submit(fb); err != nil {
-		t.Fatal(err)
-	}
-	for _, after := range []uint64{0, gap, n - 1} {
-		if _, err := s.FramesSince(after, 0); !errors.Is(err, ErrHorizon) {
-			t.Fatalf("FramesSince(%d) after Reset gave %v, want ErrHorizon", after, err)
-		}
-	}
-	exp := []Frame{{Epoch: 1, Seq: n + 1, Payload: marshalT(t, fb)}}
-	if got, err := s.FramesSince(n, 0); err != nil || !sameFrames(got, exp) {
-		t.Fatalf("FramesSince(%d) after Reset shipped %d frames (err %v), want record %d", n, len(got), err, n+1)
 	}
 }
 
@@ -547,6 +520,15 @@ func TestSnapshotCorruptFallsBackToWAL(t *testing.T) {
 			// and the count is honest.
 			if s.Len() != 15 || rec.Records() != 15 {
 				t.Fatalf("fallback recovered %d (reported %d), want 15", s.Len(), rec.Records())
+			}
+			// The log starts at seq 41: a cursor before it is past the
+			// horizon, and cursor 40 ships the rest.
+			if _, err := s.FramesSince(0, 0); !errors.Is(err, ErrHorizon) {
+				t.Fatalf("FramesSince(0) gave %v, want ErrHorizon", err)
+			}
+			frames, err := s.FramesSince(40, 0)
+			if err != nil || len(frames) != 15 || frames[0].Seq != 41 || frames[14].Seq != 55 {
+				t.Fatalf("FramesSince(40) shipped %d frames (err %v), want seqs 41..55", len(frames), err)
 			}
 		})
 	}

@@ -43,7 +43,9 @@ package registry
 // with a single write + fsync per batch, amortizing the fsync that
 // previously serialized every Submit. Sequence numbers are assigned under
 // the queue lock, so the file's frame order is always seq-ascending and a
-// crash still leaves a clean prefix plus at most one torn frame.
+// crash still leaves a clean prefix plus at most one torn frame. The
+// leader appends each written batch's records to the store's log under the
+// same lock, so the log holds exactly the written frames, in seq order.
 //
 // Fencing epochs (PR 10): every frame is stamped with the epoch of the
 // primary that wrote it. Epoch 0 frames keep the PR 6 "w1" format
@@ -137,97 +139,52 @@ func (r Recovery) String() string {
 }
 
 // walWriter is the open WAL file of a durable store, with the group-commit
-// queue. Committers enqueue frames under mu; one leader at a time drains
-// the queue to the file with mu released, so the fsync cost is shared by
-// every frame in the batch. The file handle itself is written only by the
-// flush leader (flushing set) or with the store world-quiesced
-// (Snapshot/Sync/Close hold Store.state exclusively), never both at once.
+// queue. Committers enqueue frames and their records under mu; one leader
+// at a time drains the queue to the file with mu released, so the fsync
+// cost is shared by every frame in the batch, and appends each written
+// batch's records to the store's log under mu. The file handle itself is
+// written only by the flush leader (flushing set) or with the store
+// world-quiesced (Snapshot/Sync/Close hold Store.state exclusively), never
+// both at once.
 type walWriter struct {
 	dir  string
 	path string
 	f    *os.File
 	opts WALOptions
+	log  *recLog // the store's log, which lead appends written records to
 
-	mu            sync.Mutex
-	flushed       sync.Cond // signaled under mu after every batch write
-	pending       []byte    // guarded by mu: encoded frames awaiting write
-	pendingFrames int       // guarded by mu: frame count in pending
-	pendingTop    uint64    // guarded by mu: highest seq in pending
-	spare         []byte    // guarded by mu: recycled batch buffer
-	flushing      bool      // guarded by mu: a leader is draining the queue
-	acked         uint64    // guarded by mu: highest seq written to the file
-	unsynced      int       // guarded by mu: frames written since the last fsync
-	frames        int       // guarded by mu: frames in the file since compaction
-	compactAt     int       // guarded by mu: frames at which auto-compaction runs next
-	broken        error     // guarded by mu: sticky first write/fsync failure
+	mu        sync.Mutex
+	flushed   sync.Cond // signaled under mu after every batch write
+	pending   walBatch  // guarded by mu: frames awaiting write
+	spare     walBatch  // guarded by mu: recycled batch buffers
+	flushing  bool      // guarded by mu: a leader is draining the queue
+	acked     uint64    // guarded by mu: highest seq written to the file
+	unsynced  int       // guarded by mu: frames written since the last fsync
+	frames    int       // guarded by mu: frames in the file since compaction
+	compactAt int       // guarded by mu: frames at which auto-compaction runs next
+	broken    error     // guarded by mu: sticky first write/fsync failure
 }
 
-// commit assigns the next sequence number, enqueues one frame stamped with
-// the writer's fencing epoch, and returns once that frame has been written
-// to the WAL file (and fsynced, when the SyncEvery policy calls for it).
-// The first committer to find the queue idle becomes the leader and
-// performs one write (+ one fsync) for every frame queued meanwhile; later
-// committers merely wait for their frame's acknowledgement. Sequence
-// numbers are taken from seqSrc under the queue lock so the file's frame
-// order is seq-ascending.
-//
-// Any write or fsync failure marks the whole WAL broken: bytes of a torn
-// batch may already be on disk, so retrying in place could interleave
-// frames out of order. Every queued and future commit then fails with the
-// same error; recovery (Open) handles the torn tail.
-//
-//lint:hotpath commit is on every Submit; only the seq assignment and the frame append may run under the queue mutex.
-func (w *walWriter) commit(seqSrc *atomic.Uint64, epoch uint64, payload []byte) (uint64, error) {
-	// The checksum covers only the payload, so it can be computed before
-	// taking the queue lock; only the sequence number needs the lock.
-	crc := crc32.ChecksumIEEE(payload)
-	w.mu.Lock()
-	if w.broken != nil {
-		err := w.broken
-		w.mu.Unlock()
-		return 0, err
-	}
-	seq := seqSrc.Add(1)
-	w.pending = appendFrame(w.pending, epoch, seq, crc, payload)
-	w.pendingFrames++
-	w.pendingTop = seq
-	if w.flushing {
-		// Follower: a leader is already draining the queue and will pick
-		// this frame up; wait for it to be acknowledged.
-		for w.acked < seq && w.broken == nil {
-			w.flushed.Wait()
-		}
-	} else {
-		w.flushing = true
-		w.lead()
-		w.flushing = false
-		w.flushed.Broadcast()
-	}
-	ok := w.acked >= seq
-	err := w.broken
-	w.mu.Unlock()
-	if !ok {
-		return 0, err
-	}
-	return seq, nil
+// walBatch is a stretch of the commit queue: encoded frames and the
+// records they carry, in sequence order.
+type walBatch struct {
+	buf  []byte
+	recs []record
 }
 
-// commitBatch enqueues a batch of frames under one queue-lock acquisition
-// and returns the sequence number of the first, once every frame in the
-// batch has been written (frames are contiguous: first..first+len-1). The
-// batch shares one group commit — and therefore at most one fsync — with
-// whatever else is queued, which is what makes bulk trust-delta merges
-// (Store.SubmitBatch) cheap: N records cost one leader drain instead of N
-// rounds of the commit protocol. Failure semantics match commit: any
-// write/fsync error marks the WAL broken and the whole batch is rejected.
+// commitBatch assigns the next sequence numbers to fbs, enqueues their
+// frames stamped with the writer's fencing epoch, and returns once every
+// frame has been written (see await). The batch shares one group commit —
+// and therefore at most one fsync — with whatever else is queued, which is
+// what makes bulk trust-delta merges (Store.SubmitBatch) cheap: N records
+// cost one leader drain instead of N rounds of the commit protocol.
+// Sequence numbers are taken from seqSrc under the queue lock, so the
+// file's frame order is seq-ascending.
 //
-//lint:hotpath commitBatch carries every bulk /local-trust merge; only the seq assignments and frame appends may run under the queue mutex.
-func (w *walWriter) commitBatch(seqSrc *atomic.Uint64, epoch uint64, payloads [][]byte) (uint64, error) {
-	if len(payloads) == 0 {
-		return 0, errors.New("registry: empty wal batch")
-	}
+//lint:hotpath commitBatch is on every Submit and bulk /local-trust merge; only the seq assignments and frame appends may run under the queue mutex.
+func (w *walWriter) commitBatch(seqSrc *atomic.Uint64, epoch uint64, fbs []core.Feedback, payloads [][]byte) error {
 	// Checksums cover only payload bytes: compute them all before taking
-	// the queue lock, exactly as commit does for its single frame.
+	// the queue lock; only the sequence numbers need the lock.
 	crcs := make([]uint32, len(payloads))
 	for i, p := range payloads {
 		crcs[i] = crc32.ChecksumIEEE(p)
@@ -236,49 +193,25 @@ func (w *walWriter) commitBatch(seqSrc *atomic.Uint64, epoch uint64, payloads []
 	if w.broken != nil {
 		err := w.broken
 		w.mu.Unlock()
-		return 0, err
+		return err
 	}
-	var first, last uint64
+	var seq uint64
 	for i, p := range payloads {
-		seq := seqSrc.Add(1)
-		if i == 0 {
-			first = seq
-		}
-		last = seq
-		w.pending = appendFrame(w.pending, epoch, seq, crcs[i], p)
+		seq = seqSrc.Add(1)
+		w.pending.buf = appendFrame(w.pending.buf, epoch, seq, crcs[i], p)
+		w.pending.recs = append(w.pending.recs, record{seq: seq, fb: fbs[i]}) //lint:hotalloc the queue's buffer is recycled through spare, so it grows only to the largest batch
 	}
-	w.pendingFrames += len(payloads)
-	w.pendingTop = last
-	if w.flushing {
-		for w.acked < last && w.broken == nil {
-			w.flushed.Wait()
-		}
-	} else {
-		w.flushing = true
-		w.lead()
-		w.flushing = false
-		w.flushed.Broadcast()
-	}
-	ok := w.acked >= last
-	err := w.broken
-	w.mu.Unlock()
-	if !ok {
-		return 0, err
-	}
-	return first, nil
+	return w.await(seq)
 }
 
-// commitReplicated appends frames that were assigned their sequence
+// commitReplicated enqueues frames that were assigned their sequence
 // numbers and epochs by another node — the follower side of WAL shipping
-// (Store.ApplyReplicated). The frames must be contiguous and extend the
-// store's sequence exactly; seqSrc is advanced to the last frame under the
-// queue lock, so the on-disk bytes of a replica's WAL match the primary's
-// frame for frame (only the group-commit batching differs). The flush
-// protocol and failure semantics are commit's.
-func (w *walWriter) commitReplicated(seqSrc *atomic.Uint64, frames []Frame) error {
-	if len(frames) == 0 {
-		return nil
-	}
+// (Store.ApplyReplicated) — with their decoded records. The frames must be
+// contiguous and extend the store's sequence exactly; seqSrc is advanced
+// to the last frame under the queue lock, so the on-disk bytes of a
+// replica's WAL match the primary's frame for frame (only the group-commit
+// batching differs).
+func (w *walWriter) commitReplicated(seqSrc *atomic.Uint64, frames []Frame, fbs []core.Feedback) error {
 	crcs := make([]uint32, len(frames))
 	for i := range frames {
 		crcs[i] = crc32.ChecksumIEEE(frames[i].Payload)
@@ -293,13 +226,30 @@ func (w *walWriter) commitReplicated(seqSrc *atomic.Uint64, frames []Frame) erro
 		w.mu.Unlock()
 		return fmt.Errorf("registry: %w: replicated frame seq %d, want %d", ErrSeqGap, got, want)
 	}
-	for i := range frames {
-		w.pending = appendFrame(w.pending, frames[i].Epoch, frames[i].Seq, crcs[i], frames[i].Payload)
+	for i, f := range frames {
+		w.pending.buf = appendFrame(w.pending.buf, f.Epoch, f.Seq, crcs[i], f.Payload)
+		w.pending.recs = append(w.pending.recs, record{seq: f.Seq, fb: fbs[i]})
 	}
 	last := frames[len(frames)-1].Seq
 	seqSrc.Store(last)
-	w.pendingFrames += len(frames)
-	w.pendingTop = last
+	return w.await(last)
+}
+
+// await returns once the frames up to seq last, which the caller has just
+// enqueued, have been written to the WAL file (and fsynced, when the
+// SyncEvery policy calls for it) and their records appended to the log.
+// The first committer to find the queue idle becomes the leader and
+// performs one write (+ one fsync) for every frame queued meanwhile; later
+// committers merely wait for their frames' acknowledgement. Called with
+// w.mu held; returns with it released.
+//
+// Any write or fsync failure marks the whole WAL broken: bytes of a torn
+// batch may already be on disk, so retrying in place could interleave
+// frames out of order. Every queued and future commit then fails with the
+// same error, having logged nothing; recovery (Open) handles the torn tail.
+//
+//lint:guarded await runs with w.mu held by the committer that enqueued under it
+func (w *walWriter) await(last uint64) error {
 	if w.flushing {
 		for w.acked < last && w.broken == nil {
 			w.flushed.Wait()
@@ -319,59 +269,54 @@ func (w *walWriter) commitReplicated(seqSrc *atomic.Uint64, frames []Frame) erro
 	return nil
 }
 
-// lead drains the commit queue: repeatedly swap out the pending buffer,
-// write (and per policy fsync) it with the queue unlocked, then
-// acknowledge the batch. Frames enqueued while a batch is in flight are
-// picked up by the next iteration, so the leader never returns with work
-// queued. Called and returns with w.mu held, flushing set.
+// lead drains the commit queue: repeatedly swap out the pending batch,
+// write (and per policy fsync) it with the queue unlocked, then append its
+// records to the log and acknowledge it. Batches leave the queue in seq
+// order and their records enter the log only once written, under the
+// queue lock, so the log holds exactly the written frames, in seq order.
+// Frames enqueued while a batch is in flight are picked up by the next
+// iteration, so the leader never returns with work queued. Called and
+// returns with w.mu held, flushing set.
 //
-//lint:guarded lead runs with w.mu held (commit); it relocks around file I/O
+//lint:guarded lead runs with w.mu held (await); it relocks around file I/O
 func (w *walWriter) lead() {
-	for w.pendingFrames > 0 && w.broken == nil {
-		buf, n, top := w.pending, w.pendingFrames, w.pendingTop
-		w.pending = w.spare[:0]
-		w.pendingFrames = 0
+	for len(w.pending.recs) > 0 && w.broken == nil {
+		b := w.pending
+		w.pending = walBatch{buf: w.spare.buf[:0], recs: w.spare.recs[:0]}
+		n := len(b.recs)
 		needSync := w.opts.SyncEvery < 2 || w.unsynced+n >= w.opts.SyncEvery
 		w.mu.Unlock()
-		_, err := w.f.Write(buf)
+		_, err := w.f.Write(b.buf)
 		if err == nil && needSync {
 			err = w.f.Sync()
 		}
 		w.mu.Lock()
-		w.spare = buf[:0]
 		if err != nil {
 			w.broken = fmt.Errorf("registry: wal group commit: %w", err)
 		} else {
+			w.log.add(b.recs...)
 			w.frames += n
 			if needSync {
 				w.unsynced = 0
 			} else {
 				w.unsynced += n
 			}
-			w.acked = top
+			w.acked = b.recs[n-1].seq
 		}
+		w.spare = walBatch{buf: b.buf[:0], recs: b.recs[:0]}
 		w.flushed.Broadcast()
 	}
 }
 
-// sync flushes any queued frames and fsyncs the WAL file. Callers hold the
-// store's state lock exclusively (world quiesced), so no leader is in
-// flight; the defensive drain covers a commit that errored after enqueue.
+// sync fsyncs the WAL file. Callers hold the store's state lock
+// exclusively (world quiesced), so no commit is in flight and the queue is
+// empty: every committer has returned, its frames written, unless the WAL
+// is broken.
 func (w *walWriter) sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
 		return w.broken
-	}
-	if w.pendingFrames > 0 {
-		if _, err := w.f.Write(w.pending); err != nil {
-			w.broken = fmt.Errorf("registry: wal flush: %w", err)
-			return w.broken
-		}
-		w.frames += w.pendingFrames
-		w.acked = w.pendingTop
-		w.pending = w.pending[:0]
-		w.pendingFrames = 0
 	}
 	if err := w.f.Sync(); err != nil { //lint:lockorder world quiesced: callers hold Store.state exclusively, so no other locker can block on w.mu
 		w.broken = fmt.Errorf("registry: wal fsync: %w", err)
@@ -457,11 +402,9 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 		return nil, rec, err
 	}
 
-	// Both files are decoded: size each shard once for what it will hold,
-	// then apply the snapshot's records and the WAL's behind them. A WAL
-	// frame the snapshot covers is skipped, as is any frame whose seq an
-	// earlier one already took.
-	s.reserve(snapFrames, walFrames)
+	// Both files are decoded: apply the snapshot's records, then the WAL's
+	// behind them. A WAL frame the snapshot covers is skipped, as is any
+	// frame whose seq an earlier one already took.
 	for _, fr := range snapFrames {
 		if s.applyRecovered(fr.seq, fr.fb) {
 			rec.SnapshotRecords++
@@ -497,6 +440,7 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 		path:      walPath,
 		f:         f,
 		opts:      opts,
+		log:       &s.log,
 		frames:    rec.WALRecords + rec.SkippedRecords,
 		compactAt: opts.SnapshotEvery,
 	}
@@ -506,8 +450,7 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 }
 
 // snapFrame is one decoded snapshot or WAL record. Open holds them until
-// both files are read, so a corrupt snapshot never half-applies and every
-// shard is sized once.
+// both files are read, so a corrupt snapshot never half-applies.
 type snapFrame struct {
 	epoch uint64
 	seq   uint64
@@ -648,10 +591,9 @@ func readWAL(path string, rec *Recovery) (frames []snapFrame, offs []int64, end 
 // number, CRC-32 of the payload as fixed-width hex, payload, newline —
 // appending into dst. Epoch-0 frames keep the legacy "w1" layout
 // byte-for-byte; frames written after a promotion carry their epoch in
-// the "w2" layout. It replaced a fmt.Sprintf-based encoder that allocated
-// a fresh []byte per frame while commit held the queue mutex; appending
-// straight into the pending buffer with strconv keeps the critical
-// section to the bytes themselves.
+// the "w2" layout. It appends straight into the pending buffer with
+// strconv, so the work under the queue mutex is the bytes themselves, with
+// no per-frame allocation.
 //
 //lint:hotpath runs under walWriter.mu on every Submit
 func appendFrame(dst []byte, epoch, seq uint64, crc uint32, payload []byte) []byte {
@@ -789,12 +731,12 @@ func buildSnapshotDoc(recs iter.Seq2[uint64, core.Feedback], lastSeq uint64, mar
 // any point leaves a recoverable pair: before the rename the old
 // snapshot+WAL still replay; after it, WAL frames the new snapshot covers
 // are skipped by sequence number. The world is quiesced (state held
-// exclusively), so every acknowledged record is both durable and applied.
+// exclusively), so every acknowledged record is both durable and logged.
 //
 // The new file is the old snapshot body plus the WAL's live frames,
-// copied and verified by extendSnapshot. Only when those files cannot be
-// extended — after Reset, or when a check fails — does it re-encode every
-// record from memory (bySeq), which also heals a rotted file.
+// copied and verified by extendSnapshot. Only when a check fails does it
+// re-encode every record from the log in memory, which also heals a
+// rotted file.
 //
 //lint:guarded snapshotLocked runs with s.state held by Snapshot/compact
 func (s *Store) snapshotLocked() error {
@@ -808,7 +750,7 @@ func (s *Store) snapshotLocked() error {
 	}
 	if errors.Is(err, errStale) {
 		var doc []byte
-		if doc, next, err = buildSnapshotDoc(s.bySeq(), s.seq.Load(), s.Marks()); err == nil {
+		if doc, next, err = buildSnapshotDoc(s.log.view().all(), s.seq.Load(), s.Marks()); err == nil {
 			err = writeFileAtomic(w.dir, snapshotName, doc)
 		}
 	}

@@ -141,8 +141,9 @@ func (src *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 		updates := src.Store.Updates()
 		frames, err := src.Store.FramesSince(cur, maxBatch)
 		if err != nil {
-			// Horizon moved under the cursor (compaction after an
-			// experiment Reset) — sever; the follower re-syncs.
+			// The cursor predates the log (a store reopened WAL-only
+			// from a corrupt snapshot starts past seq 1) — sever; the
+			// follower re-syncs.
 			return
 		}
 		if len(frames) > 0 {
