@@ -103,8 +103,10 @@ bench-test:
 	$(GO) -C bench test -count=1 ./...
 
 # Whole-suite wall-clock: sequential vs parallel (speedup = seq/parallel).
+# The allocation counts it logs beside them are exact from run to run,
+# where the wall times are noisy on a shared host.
 bench-suite:
-	$(GO) test -bench 'BenchmarkSuite' -benchtime 1x .
+	$(GO) test -bench 'BenchmarkSuite' -benchtime 1x -benchmem .
 
 # The benchmark ledger, BENCH_LEDGER.json, keeps one entry per job set and
 # machine fingerprint (go version, GOOS/GOARCH, CPU count), so the perf

@@ -11,10 +11,9 @@ import (
 )
 
 // Result is the outcome of one service invocation as seen by the consumer:
-// the decoded SOAP response (or fault) plus the QoS the consumer could
-// measure around the call.
+// the QoS the consumer could measure around the call, and the SOAP fault
+// it received when the call failed.
 type Result struct {
-	Response    Envelope
 	Observation qos.Observation
 	// Fault is non-nil when the service failed or was unavailable.
 	Fault *Fault
@@ -23,18 +22,11 @@ type Result struct {
 // Succeeded reports whether the invocation completed without fault.
 func (r Result) Succeeded() bool { return r.Fault == nil }
 
-// InvocationRecord is the audit entry the fabric emits per call; monitors
-// and experiments subscribe to these.
-type InvocationRecord struct {
-	Consumer core.ConsumerID
-	Service  core.ServiceID
-	Provider core.ProviderID
-	Result   Result
-}
-
-// Fabric hosts the simulated services and routes SOAP invocations to them.
-// Each invocation exercises the full encode → route → behave → decode path
-// and yields a QoS observation drawn from the service's hidden behaviour.
+// Fabric hosts the simulated services and routes invocations to them. Each
+// invocation yields a QoS observation drawn from the service's hidden
+// behaviour and hands it to the consumer as is: the mechanisms read only
+// observed outcomes, so no SOAP envelope is built for the call, and a
+// failed call carries the fault a live stack would have returned.
 //
 // Fabric is safe for concurrent use, though the experiments drive it from
 // one goroutine for determinism.
@@ -45,10 +37,8 @@ type Fabric struct {
 	rng       *rand.Rand
 	uddi      *UDDI
 	behaviors map[core.ServiceID]Behavior
-	msgSeq    int64
 	callN     int64
 	faultN    int64
-	listeners []func(InvocationRecord)
 }
 
 // NewFabric builds an empty fabric over the given clock, RNG and registry.
@@ -98,13 +88,6 @@ func (f *Fabric) Behavior(id core.ServiceID) (Behavior, bool) {
 	return b, ok
 }
 
-// Subscribe registers a listener invoked synchronously after every call.
-func (f *Fabric) Subscribe(fn func(InvocationRecord)) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.listeners = append(f.listeners, fn)
-}
-
 // Calls reports the cumulative number of invocations routed.
 func (f *Fabric) Calls() int64 {
 	f.mu.Lock()
@@ -119,81 +102,30 @@ func (f *Fabric) Faults() int64 {
 	return f.faultN
 }
 
-// Invoke routes one SOAP call from consumer to the named service operation
-// and returns the consumer-side result. Unknown services return an error
-// (nothing to observe); registered-but-unavailable services return a Result
-// with a Fault and a failure observation, because a deployed-but-down
-// service is a QoS event the consumer can and should report.
+// Invoke routes one call from consumer to the named service operation
+// and returns the consumer-side result; the outcome depends only on the
+// service's behaviour at the fabric clock's instant. Unknown services
+// return an error (nothing to observe); registered-but-unavailable services
+// return a Result with a Fault and a failure observation, because a
+// deployed-but-down service is a QoS event the consumer can and should
+// report.
 func (f *Fabric) Invoke(consumer core.ConsumerID, service core.ServiceID, operation string) (Result, error) {
-	desc, ok := f.uddi.Get(service)
-	if !ok {
+	if _, ok := f.uddi.Get(service); !ok {
 		return Result{}, fmt.Errorf("soa: invoke %s: service not published", service)
 	}
+	now := f.clock.Now()
 
 	f.mu.Lock()
-	f.msgSeq++
-	msgID := fmt.Sprintf("msg-%06d", f.msgSeq)
-	behavior, hasBehavior := f.behaviors[service]
-	rng := f.rng
-	f.mu.Unlock()
-
-	// Consumer side: encode the request. This round-trips real XML so the
-	// SOAP layer is exercised on every single simulated call.
-	req := NewRequest(msgID, string(consumer), operation, "<args/>")
-	wire, err := req.Encode()
-	if err != nil {
-		return Result{}, err
-	}
-	if _, err := DecodeEnvelope(wire); err != nil {
-		return Result{}, fmt.Errorf("soa: request failed decode check: %w", err)
-	}
-
-	if !hasBehavior {
+	defer f.mu.Unlock()
+	behavior, ok := f.behaviors[service]
+	if !ok {
 		return Result{}, fmt.Errorf("soa: invoke %s: no behaviour installed", service)
 	}
-
-	now := f.clock.Now()
-	f.mu.Lock()
-	obs := behavior.Sample(now, rng)
-	f.mu.Unlock()
-
-	var resp Envelope
-	var fault *Fault
-	if obs.Success {
-		resp = Envelope{
-			Header: &Header{MessageID: msgID},
-			Body:   Body{Operation: operation, Payload: "<result/>"},
-		}
-	} else {
-		resp = NewFaultResponse(msgID, "Server.Unavailable",
-			fmt.Sprintf("service %s unavailable", service))
-		fault = resp.Body.Fault
-	}
-	respWire, err := resp.Encode()
-	if err != nil {
-		return Result{}, err
-	}
-	decoded, err := DecodeEnvelope(respWire)
-	if err != nil {
-		return Result{}, fmt.Errorf("soa: response failed decode check: %w", err)
-	}
-	if decoded.Body.Fault != nil {
-		fault = decoded.Body.Fault
-	}
-
-	res := Result{Response: decoded, Observation: obs, Fault: fault}
-	rec := InvocationRecord{Consumer: consumer, Service: service, Provider: desc.Provider, Result: res}
-
-	f.mu.Lock()
+	res := Result{Observation: behavior.Sample(now, f.rng)}
 	f.callN++
-	if fault != nil {
+	if !res.Observation.Success {
+		res.Fault = &Fault{Code: "Server.Unavailable", String: fmt.Sprintf("service %s unavailable", service)}
 		f.faultN++
-	}
-	listeners := make([]func(InvocationRecord), len(f.listeners))
-	copy(listeners, f.listeners)
-	f.mu.Unlock()
-	for _, fn := range listeners {
-		fn(rec)
 	}
 	return res, nil
 }

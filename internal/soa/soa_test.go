@@ -1,7 +1,9 @@
 package soa
 
 import (
+	"encoding/xml"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,39 +93,40 @@ func TestCandidateConversion(t *testing.T) {
 	}
 }
 
+// TestSOAPRoundTrip round-trips the three envelopes a SOAP exchange with a
+// fabric service carries: the request, the success response echoing the
+// operation, and the fault a down service answers with.
 func TestSOAPRoundTrip(t *testing.T) {
-	env := NewRequest("msg-1", "c001", "GetForecast", "<city>YXE</city>")
-	data, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name string
+		env  Envelope
+	}{
+		{"request", NewRequest("msg-000001", "c001", "GetForecast", "<args/>")},
+		{"success", Envelope{
+			Header: &Header{MessageID: "msg-000001"},
+			Body:   Body{Operation: "GetForecast", Payload: "<result/>"},
+		}},
+		{"fault", NewFaultResponse("msg-000002", "Server.Unavailable", "service s001 unavailable")},
 	}
-	got, err := DecodeEnvelope(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Header == nil || got.Header.MessageID != "msg-1" || got.Header.Caller != "c001" {
-		t.Fatalf("header = %+v", got.Header)
-	}
-	if got.Body.Operation != "GetForecast" {
-		t.Fatalf("operation = %q", got.Body.Operation)
-	}
-}
-
-func TestSOAPFault(t *testing.T) {
-	env := NewFaultResponse("msg-2", "Server.Unavailable", "down")
-	data, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeEnvelope(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Body.Fault == nil || got.Body.Fault.Code != "Server.Unavailable" {
-		t.Fatalf("fault = %+v", got.Body.Fault)
-	}
-	if !strings.Contains(got.Body.Fault.Error(), "down") {
-		t.Fatalf("fault error = %q", got.Body.Fault.Error())
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			data, err := tt.env.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodeEnvelope(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tt.env
+			want.XMLName = xml.Name{Space: soapNS, Local: "Envelope"}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round trip = %+v (header %+v, fault %+v), want %+v", got, got.Header, got.Body.Fault, want)
+			}
+			if f := got.Body.Fault; f != nil && !strings.Contains(f.Error(), f.String) {
+				t.Fatalf("fault error %q omits %q", f.Error(), f.String)
+			}
+		})
 	}
 }
 
@@ -348,9 +351,6 @@ func TestFabricInvokeSuccess(t *testing.T) {
 	if res.Observation.Values[qos.ResponseTime] != 100 {
 		t.Fatalf("observation = %v", res.Observation.Values)
 	}
-	if res.Response.Body.Operation != "GetForecast" {
-		t.Fatalf("response echoes %q", res.Response.Body.Operation)
-	}
 	if f.Calls() != 1 || f.Faults() != 0 {
 		t.Fatalf("counters calls=%d faults=%d", f.Calls(), f.Faults())
 	}
@@ -373,6 +373,9 @@ func TestFabricInvokeUnavailable(t *testing.T) {
 	if res.Observation.Success {
 		t.Fatal("observation claims success on fault")
 	}
+	if res.Fault.Code != "Server.Unavailable" || !strings.Contains(res.Fault.String, string(d.Service)) {
+		t.Fatalf("fault = %+v, want Server.Unavailable naming %s", res.Fault, d.Service)
+	}
 	if f.Faults() != 1 {
 		t.Fatalf("faults = %d, want 1", f.Faults())
 	}
@@ -385,15 +388,38 @@ func TestFabricInvokeUnknownService(t *testing.T) {
 	}
 }
 
-func TestFabricSubscribe(t *testing.T) {
-	f, _ := newTestFabric(t)
-	var got []InvocationRecord
-	f.Subscribe(func(r InvocationRecord) { got = append(got, r) })
-	if _, err := f.Invoke("c007", "s001", "GetForecast"); err != nil {
+// TestFabricInvokeAllocs bounds the allocations of one successful and one
+// faulted call: the sampled observation and the fault, not a message
+// encoding, are what an invocation builds.
+func TestFabricInvokeAllocs(t *testing.T) {
+	const maxAllocs = 16
+	clock := simclock.NewVirtual()
+	f := NewFabric(clock, simclock.NewRand(6), NewUDDI())
+	up, down := sampleDescription(), sampleDescription()
+	down.Service = "s002"
+	if err := f.Register(up, Behavior{True: qos.Vector{qos.ResponseTime: 100, qos.Availability: 1}, Jitter: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Consumer != "c007" || got[0].Provider != "p001" {
-		t.Fatalf("listener records = %+v", got)
+	if err := f.Register(down, Behavior{True: qos.Vector{qos.ResponseTime: 100, qos.Availability: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		service core.ServiceID
+		ok      bool
+	}{{up.Service, true}, {down.Service, false}} {
+		var failed bool
+		allocs := testing.AllocsPerRun(100, func() {
+			res, err := f.Invoke("c001", tc.service, "GetForecast")
+			if err != nil || res.Succeeded() != tc.ok {
+				failed = true
+			}
+		})
+		if failed {
+			t.Fatalf("invoke %s: want success=%v", tc.service, tc.ok)
+		}
+		if allocs > maxAllocs {
+			t.Errorf("invoke %s (success=%v): %.0f allocs, want at most %d", tc.service, tc.ok, allocs, maxAllocs)
+		}
 	}
 }
 

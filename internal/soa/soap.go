@@ -6,9 +6,9 @@ import (
 )
 
 // This file implements a working subset of SOAP 1.1: an envelope with
-// header and body, and fault reporting. Requests and responses in the
-// fabric travel as real XML so the substrate exercises the same
-// encode/route/decode path a live web-service stack would.
+// header and body, and fault reporting. It is the substrate's message
+// format. A fabric call builds no envelope, since its consumer reads only
+// the sampled observation; a failed call returns this file's Fault.
 
 // soapNS is the SOAP 1.1 envelope namespace.
 const soapNS = "http://schemas.xmlsoap.org/soap/envelope/"

@@ -74,6 +74,11 @@ type Mechanism struct {
 	mu      sync.Mutex
 	ratings map[core.EntityID][]entry
 	latest  map[core.ConsumerID]map[core.EntityID]float64
+	// Every majority and Zhang-Cohen Score reads the per-rater agreement
+	// rates over the whole store; Submit and Reset bump the epoch, and
+	// the rates recompute on the next read after one.
+	epoch      core.Epoch
+	agreeRates core.Memo[map[core.ConsumerID]float64]
 }
 
 var (
@@ -108,6 +113,7 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 		m.latest[fb.Consumer] = row
 	}
 	row[fb.Service] = v
+	m.epoch.Bump()
 	return nil
 }
 
@@ -150,7 +156,7 @@ func meanOf(rs []entry) float64 {
 // a poor track record of agreeing with majorities (< 40% across ≥3 votes)
 // are excluded before the vote.
 func (m *Mechanism) majorityScore(rs []entry) (float64, int) {
-	agreeRate := m.majorityAgreementRates()
+	agreeRate := m.agreeRates.Get(&m.epoch, m.majorityAgreementRates)
 	var votes []entry
 	for _, r := range rs {
 		if rate, ok := agreeRate[r.rater]; ok && rate < 0.4 {
@@ -183,7 +189,9 @@ func (m *Mechanism) majorityScore(rs []entry) (float64, int) {
 }
 
 // majorityAgreementRates computes, per rater, how often their vote matched
-// the per-subject majority (raters with <3 votes are not judged).
+// the per-subject majority (raters with <3 votes are not judged). The
+// tallies are integer counts, so the rates do not depend on the order the
+// store is walked in, and the memoized map equals a fresh one bit for bit.
 func (m *Mechanism) majorityAgreementRates() map[core.ConsumerID]float64 {
 	agree := map[core.ConsumerID]float64{}
 	total := map[core.ConsumerID]float64{}
@@ -274,7 +282,7 @@ func (m *Mechanism) clusterScore(rs []entry) (float64, int) {
 
 // zhangCohenScore weighs each advisor by trust = w·private + (1−w)·public.
 func (m *Mechanism) zhangCohenScore(perspective core.ConsumerID, subject core.EntityID, rs []entry) (float64, int) {
-	public := m.majorityAgreementRates()
+	public := m.agreeRates.Get(&m.epoch, m.majorityAgreementRates)
 	mine := m.latest[perspective]
 	var num, den float64
 	kept := 0
@@ -336,4 +344,5 @@ func (m *Mechanism) Reset() {
 	defer m.mu.Unlock()
 	m.ratings = map[core.EntityID][]entry{}
 	m.latest = map[core.ConsumerID]map[core.EntityID]float64{}
+	m.epoch.Bump()
 }

@@ -13,7 +13,9 @@ package pagerank
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,30 +36,37 @@ func Rank(nodes []string, edges map[string]map[string]float64, damping float64, 
 	copy(sorted, nodes)
 	sort.Strings(sorted)
 
-	// Out-weight totals.
+	// Each row's links in target order, and its out-weight summed in that
+	// order, built once: the iterations below only read them.
+	type link struct {
+		v string
+		w float64
+	}
+	rows := make(map[string][]link, len(edges))
 	outW := make(map[string]float64, n)
 	for u, row := range edges {
-		targets := make([]string, 0, len(row))
-		for v := range row {
-			targets = append(targets, v)
-		}
-		sort.Strings(targets)
-		for _, v := range targets {
-			w := row[v]
+		targets := make([]link, 0, len(row))
+		for v, w := range row {
 			if w < 0 {
 				panic(fmt.Sprintf("pagerank: negative edge weight from %s", u))
 			}
-			outW[u] += w
+			targets = append(targets, link{v, w})
 		}
+		slices.SortFunc(targets, func(a, b link) int { return strings.Compare(a.v, b.v) })
+		for _, l := range targets {
+			outW[u] += l.w
+		}
+		rows[u] = targets
 	}
 
 	rank := make(map[string]float64, n)
 	for _, v := range sorted {
 		rank[v] = 1.0 / float64(n)
 	}
+	next := make(map[string]float64, n)
 	base := (1 - damping) / float64(n)
 	for it := 0; it < iters; it++ {
-		next := make(map[string]float64, n)
+		clear(next)
 		var dangling float64
 		for _, u := range sorted {
 			if outW[u] == 0 {
@@ -68,22 +77,16 @@ func Rank(nodes []string, edges map[string]map[string]float64, damping float64, 
 			next[v] = base + damping*dangling/float64(n)
 		}
 		for _, u := range sorted {
-			row := edges[u]
+			row := rows[u]
 			if outW[u] == 0 || len(row) == 0 {
 				continue
 			}
 			share := damping * rank[u] / outW[u]
-			// Deterministic inner order.
-			targets := make([]string, 0, len(row))
-			for v := range row {
-				targets = append(targets, v)
-			}
-			sort.Strings(targets)
-			for _, v := range targets {
-				next[v] += share * row[v]
+			for _, l := range row {
+				next[l.v] += share * l.w
 			}
 		}
-		rank = next
+		rank, next = next, rank
 	}
 	return rank
 }

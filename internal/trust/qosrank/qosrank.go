@@ -71,6 +71,18 @@ type Mechanism struct {
 	services   map[core.ServiceID]*stats
 	advertised map[core.ServiceID]qos.Vector
 	prefs      map[core.ConsumerID]qos.Preferences
+	// The phase-1 matrix depends only on the collected observations:
+	// Submit and Reset bump the epoch, and it rebuilds on the next read
+	// after one. Claims and preferences are applied per query.
+	epoch   core.Epoch
+	popMemo core.Memo[population]
+}
+
+// population is the phase-1 matrix: every observed service's mean raw
+// vector and the normalizer over all of them.
+type population struct {
+	means map[core.ServiceID]qos.Vector
+	norm  *qos.Normalizer
 }
 
 var (
@@ -142,7 +154,24 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 		st.sum[facet] += v
 		st.count[facet]++
 	}
+	m.epoch.Bump()
 	return nil
+}
+
+// population builds the phase-1 matrix. The normalizer takes per-metric
+// minima and maxima, which do not depend on the order services are
+// visited in.
+func (m *Mechanism) population() population {
+	p := population{means: make(map[core.ServiceID]qos.Vector, len(m.services))}
+	vecs := make([]qos.Vector, 0, len(m.services))
+	for id, st := range m.services {
+		if st.calls > 0 {
+			p.means[id] = st.means()
+			vecs = append(vecs, p.means[id])
+		}
+	}
+	p.norm = qos.NewNormalizer(vecs)
+	return p
 }
 
 // compliance returns the fraction of advertised claims the measured data
@@ -183,15 +212,10 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	if !ok || st.calls == 0 {
 		return core.TrustValue{Score: 0.5, Confidence: 0}, false
 	}
-	// Phase 1: build the population matrix and normalize.
-	population := make([]qos.Vector, 0, len(m.services))
-	for _, other := range m.services {
-		if other.calls > 0 {
-			population = append(population, other.means())
-		}
-	}
-	norm := qos.NewNormalizer(population)
-	mine := norm.NormalizeVector(st.means())
+	// Phase 1: normalize the subject's row of the population matrix.
+	pop := m.popMemo.Get(&m.epoch, m.population)
+	means := pop.means[q.Subject]
+	mine := pop.norm.NormalizeVector(means)
 
 	// Phase 2: weighted sum under the consumer's preferences.
 	var prefs qos.Preferences
@@ -201,7 +225,7 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	score := prefs.Utility(mine)
 
 	if m.policing {
-		score *= m.compliance(q.Subject, st.means())
+		score *= m.compliance(q.Subject, means)
 	}
 	score = math.Max(0, math.Min(1, score))
 	conf := st.calls / (st.calls + 5)
@@ -224,5 +248,6 @@ func (m *Mechanism) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.services = map[core.ServiceID]*stats{}
+	m.epoch.Bump()
 	// advertised claims and preferences are configuration, not state.
 }
