@@ -123,7 +123,8 @@ bench-json:
 	$(GO) run ./cmd/wsxbench
 
 # The incremental-trust population sweep (warm-start submit+score at pop
-# 1k/10k/100k vs the cold full-recompute baseline).
+# 1k/10k/100k vs exact mode's cold pass, which reruns every power-iteration
+# round from the teleport vector per update).
 bench-incremental:
 	$(GO) run ./cmd/wsxbench -jobs incremental
 

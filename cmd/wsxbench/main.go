@@ -67,9 +67,9 @@ var jobSets = map[string]jobSet{
 	}},
 	"incremental": {"PR8", "wstrust benchmark record: incremental trust, delta-propagated scoring with warm-start fixpoints; refresh with `make bench-incremental`", []job{
 		// The warm-start submit+score unit of work across the population
-		// sweep. The cold baseline is capped at one iteration because
-		// exact mode recomputes the full fixpoint per op (~200 s at
-		// pop=100k).
+		// sweep. The cold baseline runs one iteration: exact mode reruns
+		// every power-iteration round per op (about 60 ms at pop=100k on
+		// the CSR pass; the n×n build it replaced took about 300 s).
 		{pkg: "./internal/trust/eigentrust", bench: "^BenchmarkIncrementalSubmitScore$", benchtime: "2000x"},
 		{pkg: "./internal/trust/eigentrust", bench: "^BenchmarkColdSubmitScore$", benchtime: "1x"},
 	}},

@@ -114,6 +114,21 @@ func newAgent() *agent {
 	}
 }
 
+// notePending records a recommendation for confirmation by the agent's
+// next direct experience with subject. A Submit that settles the subject
+// deletes its entry, so the entry is looked up, and recreated if gone,
+// under the same lock as the write.
+func (a *agent) notePending(subject core.EntityID, r recommendation) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	recs := a.pending[subject]
+	if recs == nil {
+		recs = map[core.ConsumerID]float64{}
+		a.pending[subject] = recs
+	}
+	recs[r.from] = r.value
+}
+
 func (a *agent) recWeight(r core.ConsumerID) float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -254,18 +269,11 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 		num += w * direct
 		den += w
 	}
-	ag.mu.Lock()
-	if ag.pending[q.Subject] == nil {
-		ag.pending[q.Subject] = map[core.ConsumerID]float64{}
-	}
-	ag.mu.Unlock()
 	for _, r := range recs {
 		w := ag.recWeight(r.from)
 		num += w * r.value
 		den += w
-		ag.mu.Lock()
-		ag.pending[q.Subject][r.from] = r.value
-		ag.mu.Unlock()
+		ag.notePending(q.Subject, r)
 	}
 	if den == 0 {
 		return core.TrustValue{Score: 0.5, Confidence: 0}, true

@@ -1,6 +1,7 @@
 package bayesnet
 
 import (
+	"sync"
 	"testing"
 
 	"wstrust/internal/core"
@@ -137,4 +138,37 @@ func TestUnknownInvalidReset(t *testing.T) {
 	if _, ok := m.Score(core.Query{Subject: "s001"}); ok {
 		t.Fatal("state survived Reset")
 	}
+}
+
+// TestScoreRacesSettlingSubmit runs an asker's personalized Score, which
+// records every recommendation it gathered as pending, against the
+// asker's own Submits of the same subject, each of which settles and
+// deletes that pending entry.
+func TestScoreRacesSettlingSubmit(t *testing.T) {
+	const raters, rounds = 32, 2000
+	m := New(p2p.NewNetwork(), WithDirectSufficiency(1<<30))
+	for i := 0; i < raters; i++ {
+		if err := m.Submit(fb(core.NewConsumerID(i), "s001", 0.9, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const asker = core.ConsumerID("asker")
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			m.Score(core.Query{Perspective: asker, Subject: "s001"})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := m.Submit(fb(asker, "s001", float64(i%2), nil)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }

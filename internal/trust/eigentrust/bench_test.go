@@ -9,8 +9,10 @@ import (
 	"wstrust/internal/simclock"
 )
 
-// BenchmarkTick measures the power-iteration recompute at experiment scale
-// (the per-round cost of the batch-global mechanisms).
+// BenchmarkTick measures exact mode's per-round recompute at experiment
+// scale (the per-round cost of the batch-global mechanisms): every Tick
+// reruns the fixed-round power iteration from the teleport vector over a
+// CSR snapshot of the basis's rows.
 func BenchmarkTick(b *testing.B) {
 	m := New()
 	rng := simclock.NewRand(1)
@@ -37,7 +39,7 @@ var benchPops = []int{1_000, 10_000, 100_000}
 // rates service c, so every service is on the roster before the measured
 // loop — the benchmark then exercises the steady state (updates to known
 // peers), not roster growth, which by design forces dense rebases.
-func populateBench(b *testing.B, m *Mechanism, pop int) {
+func populateBench(b testing.TB, m *Mechanism, pop int) {
 	b.Helper()
 	rng := simclock.NewRand(int64(pop))
 	half := pop / 2
@@ -63,7 +65,7 @@ func populateBench(b *testing.B, m *Mechanism, pop int) {
 // oneUpdateScore submits one fresh rating and reads a score back — the
 // streaming API's steady-state unit of work (wsxd: POST /local-trust
 // followed by GET /compute-with-stats).
-func oneUpdateScore(b *testing.B, m *Mechanism, rng *rand.Rand, half int) {
+func oneUpdateScore(b testing.TB, m *Mechanism, rng *rand.Rand, half int) {
 	b.Helper()
 	svc := core.NewServiceID(rng.Intn(half))
 	err := m.Submit(core.Feedback{
@@ -103,7 +105,10 @@ func BenchmarkIncrementalSubmitScore(b *testing.B) {
 
 // BenchmarkColdSubmitScore is the baseline the warm-start path is judged
 // against: exact mode recomputes the full power iteration from the
-// teleport vector on every update-then-score cycle.
+// teleport vector on every update-then-score cycle. The pass walks a CSR
+// snapshot of the rows it rebuilds into reused buffers, so its time is
+// O(edges × iterations) and its allocations do not grow with the
+// population (TestColdRecomputeAllocs bounds them).
 func BenchmarkColdSubmitScore(b *testing.B) {
 	for _, pop := range benchPops {
 		if testing.Short() && pop > 10_000 {
@@ -120,5 +125,23 @@ func BenchmarkColdSubmitScore(b *testing.B) {
 				oneUpdateScore(b, m, rng, pop/2)
 			}
 		})
+	}
+}
+
+// TestColdRecomputeAllocs guards exact mode's O(edges) recompute: one
+// Submit+Score at pop=10000 reruns the whole power iteration, and must do
+// it in the basis's reused buffers rather than allocating a row per peer.
+func TestColdRecomputeAllocs(t *testing.T) {
+	const pop, maxAllocs = 10_000, 16
+	m := New()
+	populateBench(t, m, pop)
+	m.Score(core.Query{Subject: core.NewServiceID(0), Facet: core.FacetOverall})
+	rng := simclock.NewRand(pop + 1)
+	allocs := testing.AllocsPerRun(5, func() { oneUpdateScore(t, m, rng, pop/2) })
+	if st := m.LastConvergence(); st.WarmStart || st.Iterations != m.iters {
+		t.Fatalf("want a cold %d-round pass per update, got %+v", m.iters, st)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("cold Submit+Score at pop=%d: %.0f allocs, want at most %d", pop, allocs, maxAllocs)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"wstrust/internal/trust/trusttest"
 )
 
-// TestConcurrentSubmitScoreReset hammers the epoch-cached trust vector
+// TestConcurrentSubmitScoreReset hammers exact mode's kept trust vector
 // from many goroutines, including Tick and Reset; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
 	m := eigentrust.New(eigentrust.WithIterations(5))

@@ -8,10 +8,10 @@ import (
 	"wstrust/internal/trust/trusttest"
 )
 
-// TestDifferential proves the epoch-cached trust vector (the
-// generalization of this package's old dirty flag) matches a cold
-// recompute byte-for-byte, with and without pre-trusted anchors and
-// interleaved Ticks.
+// TestDifferential proves exact mode's kept trust vector, recomputed only
+// after a Submit or Tick marks the basis cold, matches a cold rebuild
+// byte-for-byte, with and without pre-trusted anchors and interleaved
+// Ticks.
 func TestDifferential(t *testing.T) {
 	build := map[string]func() core.Mechanism{
 		"plain": func() core.Mechanism { return eigentrust.New(eigentrust.WithIterations(10)) },

@@ -14,9 +14,10 @@
 package eigentrust
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,8 +52,7 @@ func WithPreTrusted(ids ...core.EntityID) Option {
 }
 
 // WithNetwork attaches a p2p network; every recompute then charges the
-// distributed protocol's messages (one exchange per matrix edge per
-// iteration).
+// distributed protocol's messages (one per matrix edge per iteration).
 func WithNetwork(net *p2p.Network) Option {
 	return func(m *Mechanism) { m.net = net }
 }
@@ -64,6 +64,7 @@ func WithNetwork(net *p2p.Network) Option {
 // norm falls to eps — steady-state cost O(affected entries) instead of a
 // full recompute. Results track the exact mode within the documented
 // ε-closeness bound (DESIGN.md §8); the exact mode (eps = 0, the default)
+// reruns the fixed-round pass from the teleport vector after every change,
 // stays bit-compatible with earlier releases and remains what wsxsim runs.
 func WithEpsilon(eps float64) Option {
 	return func(m *Mechanism) {
@@ -98,21 +99,11 @@ type Mechanism struct {
 	local  map[core.EntityID]map[core.EntityID]float64 // rater → subject → Σ(sat−unsat), floored at 0
 	counts map[core.EntityID]int
 	joined map[core.EntityID]bool
-	// The trust vector is epoch-cached (this package's old ad-hoc dirty
-	// flag, generalized into core). Every recompute — lazy in Score,
-	// eager in Tick — still charges the distributed protocol's messages,
-	// so caching never alters reported communication budgets.
-	epoch   core.Epoch         // guarded by mu
-	vecMemo core.Memo[etState] // guarded by mu
-	// Incremental-mode state (see incremental.go); nil in exact mode.
+	// The indexed basis both modes compute on (see incremental.go). Exact
+	// mode marks it cold on every Submit and Tick, so each read after a
+	// change reruns the full fixed-round pass and bills its messages.
 	inc       *incState             // guarded by mu
 	lastStats core.ConvergenceStats // guarded by mu
-}
-
-// etState is one computed global trust vector with its normalizer.
-type etState struct {
-	scores map[core.EntityID]float64
-	maxSub float64
 }
 
 var (
@@ -137,9 +128,7 @@ func New(opts ...Option) *Mechanism {
 	for _, opt := range opts {
 		opt(m)
 	}
-	if m.eps > 0 {
-		m.inc = newIncState()
-	}
+	m.inc = newIncState()
 	return m
 }
 
@@ -171,156 +160,151 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 	old := row[fb.Service]
 	row[fb.Service] = math.Max(0, old+delta)
 	m.counts[fb.Service]++
-	m.epoch.Bump()
-	if m.inc != nil {
-		m.noteSubmitLocked(fb.Consumer, fb.Service, old, row[fb.Service])
+	if m.eps == 0 {
+		m.inc.cold = true
 	}
+	m.noteSubmitLocked(fb.Consumer, fb.Service, old, row[fb.Service])
 	return nil
 }
 
-// peers returns all entities appearing as rater or subject, sorted.
-func (m *Mechanism) peersLocked() []core.EntityID {
-	set := map[core.EntityID]bool{}
-	for r, row := range m.local {
-		set[r] = true
-		for s := range row {
-			set[s] = true
-		}
-	}
-	out := make([]core.EntityID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Tick recomputes the global trust vector eagerly (and charges the
-// round's protocol messages), whether or not queries are pending.
+// Tick brings the global trust vector up to date eagerly (and charges the
+// round's protocol messages), whether or not queries are pending. In exact
+// mode every Tick reruns the full pass.
 func (m *Mechanism) Tick(time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.inc != nil {
-		m.refreshIncLocked()
-		return
+	if m.eps == 0 {
+		m.inc.cold = true
 	}
-	m.vecMemo.Update(&m.epoch, m.computeLocked())
+	m.refreshLocked()
 }
 
-//lint:guarded computeLocked runs with m.mu held by Score's locked section
-func (m *Mechanism) computeLocked() etState {
-	peers := m.peersLocked()
-	n := len(peers)
-	st := etState{scores: map[core.EntityID]float64{}}
-	if n == 0 {
-		return st
+// powerIterateLocked recomputes the fixpoint t ← (1−α)·Cᵀt + α·p over
+// every row of the basis. Exact mode runs the fixed iters rounds; ε mode
+// runs until a round moves t by at most eps in L1. warm seeds from the
+// current vector (ε mode's periodic drift-clearing pass); cold seeds from
+// the teleport vector. The result reflects every submitted rating, so
+// pending deltas are discarded rather than replayed.
+//
+// Rows are visited in rater-ID order and each product is formed as
+// ((1−α)·t[i])·(v/rowSum): the order and form the n×n build accumulated
+// in, so exact-mode scores keep their bits.
+//
+//lint:guarded powerIterateLocked runs with m.mu held via refreshLocked
+func (m *Mechanism) powerIterateLocked(warm bool) {
+	s := m.inc
+	n := len(s.peers)
+	s.computes = 0
+	s.lastResiduals = s.lastResiduals[:0]
+	if len(s.order) < n { // the roster grew: extend and re-sort the ID order
+		for i := len(s.order); i < n; i++ {
+			s.order = append(s.order, i)
+		}
+		slices.SortFunc(s.order, func(a, b int) int { return cmp.Compare(s.peers[a], s.peers[b]) })
 	}
-	idx := make(map[core.EntityID]int, n)
-	for i, p := range peers {
-		idx[p] = i
-	}
-	// Normalized matrix C: c[i][j] = local(i,j)/Σ_j local(i,j).
-	c := make([][]float64, n)
-	edges := 0
-	for i, p := range peers {
-		row := m.local[p]
-		subjects := make([]core.EntityID, 0, len(row))
-		for s := range row {
-			subjects = append(subjects, s)
-		}
-		sort.Slice(subjects, func(a, b int) bool { return subjects[a] < subjects[b] })
-		var total float64
-		for _, s := range subjects {
-			total += row[s]
-		}
-		if total == 0 {
-			continue
-		}
-		c[i] = make([]float64, n)
-		for _, s := range subjects {
-			if v := row[s]; v > 0 {
-				c[i][idx[s]] = v / total
-				edges++
-			}
-		}
-	}
-	// Distribution p over pre-trusted peers (uniform over all when empty).
-	pvec := make([]float64, n)
+	// Teleport vector p: uniform over the pre-trusted peers present, or
+	// over every peer when none is.
 	pre := 0
-	for i, peer := range peers {
-		if m.preTrusted[peer] {
-			pvec[i] = 1
+	for i, p := range s.peers {
+		s.tele[i] = 0
+		if m.preTrusted[p] {
+			s.tele[i] = 1
 			pre++
 		}
 	}
 	if pre == 0 {
-		for i := range pvec {
-			pvec[i] = 1 / float64(n)
+		for i := range s.tele {
+			s.tele[i] = 1
 		}
-	} else {
-		for i := range pvec {
-			pvec[i] /= float64(pre)
-		}
+		pre = n
 	}
-	// Power iteration: t ← (1−α)·Cᵀt + α·p. The final iteration's L1
-	// movement doubles as the exact mode's reported residual; computing it
-	// never alters the scores.
-	t := make([]float64, n)
-	copy(t, pvec)
-	next := make([]float64, n)
-	res := 0.0
-	for it := 0; it < m.iters; it++ {
-		for j := range next {
-			next[j] = alpha * pvec[j]
-		}
-		for i := range peers {
-			if c[i] == nil || t[i] == 0 {
-				continue
-			}
-			for j, cij := range c[i] {
-				if cij > 0 {
-					next[j] += (1 - alpha) * t[i] * cij
+	for i := range s.tele {
+		s.tele[i] /= float64(pre)
+	}
+	// CSR snapshot of the normalized rows C[i] = local(i,·)/rowSum[i], in
+	// ID order: row r (peer order[r]) spans col/w[rowEnd[r-1]:rowEnd[r]].
+	s.rowEnd, s.col, s.w = s.rowEnd[:0], s.col[:0], s.w[:0]
+	for _, i := range s.order {
+		if sum := s.rowSum[i]; sum > 0 {
+			for sub, v := range m.local[s.peers[i]] { // distinct targets per row
+				if v > 0 {
+					s.col = append(s.col, s.idx[sub])
+					s.w = append(s.w, v/sum)
 				}
 			}
 		}
-		if it == m.iters-1 {
-			for j := range next {
-				res += math.Abs(next[j] - t[j])
+		s.rowEnd = append(s.rowEnd, len(s.col))
+	}
+	t, next := s.t, s.next
+	if !warm {
+		copy(t, s.tele)
+	}
+	limit := m.iters
+	if m.eps > 0 {
+		limit = 8 * m.iters
+	}
+	rounds, res := 0, 0.0
+	for rounds < limit {
+		for j := range next {
+			next[j] = alpha * s.tele[j]
+		}
+		start := 0
+		for r, i := range s.order {
+			if ti := t[i]; ti != 0 {
+				for e := start; e < s.rowEnd[r]; e++ {
+					next[s.col[e]] += (1 - alpha) * ti * s.w[e]
+				}
 			}
+			start = s.rowEnd[r]
+		}
+		res = 0
+		for _, j := range s.order {
+			res += math.Abs(next[j] - t[j])
 		}
 		t, next = next, t
-	}
-	m.lastStats = core.ConvergenceStats{Iterations: m.iters, Residual: res, WarmStart: false}
-	if m.net != nil {
-		m.chargeMessagesLocked(peers, edges)
-	}
-	for i, p := range peers {
-		st.scores[p] = t[i]
-		if m.counts[p] > 0 && t[i] > st.maxSub {
-			st.maxSub = t[i]
+		rounds++
+		s.lastResiduals = append(s.lastResiduals, res)
+		if m.eps > 0 && res <= m.eps {
+			break
 		}
 	}
-	return st
+	clear(next)
+	s.t, s.next = t, next
+	for _, j := range s.pendIx {
+		s.pend[j] = 0
+		s.inPend[j] = false
+	}
+	s.pendIx = s.pendIx[:0]
+	s.newRated = s.newRated[:0]
+	s.cold = false
+	m.rescanMaxLocked()
+	m.chargeLocked(len(s.col) * rounds)
+	m.lastStats = core.ConvergenceStats{Iterations: rounds, Residual: res, WarmStart: warm}
 }
 
-// chargeMessagesLocked bills the distributed protocol's traffic: each
-// iteration every peer sends its current trust values over each outgoing
-// edge.
-func (m *Mechanism) chargeMessagesLocked(peers []core.EntityID, edges int) {
-	for _, p := range peers {
-		id := p2p.NodeID(p)
+// chargeLocked bills msgs protocol messages to the attached network, if
+// any: every peer joins, and msgs/2 exchanges run between the two lowest
+// peer IDs of the last dense pass, each a request and its reply. A dense
+// pass bills one message per positive local-trust entry per round, a
+// sparse propagation one per push.
+//
+//lint:guarded chargeLocked runs with m.mu held by its callers
+func (m *Mechanism) chargeLocked(msgs int) {
+	if m.net == nil {
+		return
+	}
+	s := m.inc
+	for _, p := range s.peers {
 		if !m.joined[p] {
-			m.net.Join(id, func(p2p.NodeID, string, any) any { return "ack" })
+			m.net.Join(p2p.NodeID(p), func(p2p.NodeID, string, any) any { return "ack" })
 			m.joined[p] = true
 		}
 	}
-	if len(peers) < 2 {
+	if len(s.order) < 2 {
 		return
 	}
-	// Representative exchange: bill edges×iters messages through the
-	// network so its counter reflects the real protocol volume.
-	a, b := p2p.NodeID(peers[0]), p2p.NodeID(peers[1])
-	for i := 0; i < edges*m.iters/2; i++ {
+	a, b := p2p.NodeID(s.peers[s.order[0]]), p2p.NodeID(s.peers[s.order[1]])
+	for i := 0; i < msgs/2; i++ {
 		_, _ = m.net.Send(a, b, "et.exchange", nil)
 	}
 }
@@ -330,16 +314,14 @@ func (m *Mechanism) chargeMessagesLocked(peers []core.EntityID, edges int) {
 func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.inc != nil {
-		return m.scoreIncLocked(q)
-	}
-	st := m.vecMemo.Get(&m.epoch, m.computeLocked)
+	m.refreshLocked()
 	if m.counts[q.Subject] == 0 {
 		return core.TrustValue{Score: 0.5, Confidence: 0}, false
 	}
+	s := m.inc
 	score := 0.0
-	if st.maxSub > 0 {
-		score = math.Min(1, st.scores[q.Subject]/st.maxSub)
+	if j, ok := s.idx[q.Subject]; ok && s.maxSub > 0 {
+		score = math.Min(1, s.t[j]/s.maxSub)
 	}
 	n := float64(m.counts[q.Subject])
 	return core.TrustValue{Score: score, Confidence: n / (n + 5)}, true
@@ -359,10 +341,6 @@ func (m *Mechanism) Reset() {
 	defer m.mu.Unlock()
 	m.local = map[core.EntityID]map[core.EntityID]float64{}
 	m.counts = map[core.EntityID]int{}
-	m.vecMemo.Invalidate()
-	m.epoch.Bump()
-	if m.inc != nil {
-		m.inc = newIncState()
-	}
+	m.inc = newIncState()
 	m.lastStats = core.ConvergenceStats{}
 }

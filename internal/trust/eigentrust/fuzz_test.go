@@ -7,14 +7,10 @@ import (
 )
 
 // residualsSnapshot copies the per-round L1 residuals of the mechanism's
-// last incremental compute (in-package access, under the lock Score and
-// Submit take).
+// last compute (in-package access, under the lock Score and Submit take).
 func residualsSnapshot(m *Mechanism) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.inc == nil {
-		return nil
-	}
 	out := make([]float64, len(m.inc.lastResiduals))
 	copy(out, m.inc.lastResiduals)
 	return out
@@ -37,7 +33,9 @@ func checkResidualsMonotone(t *testing.T, res []float64) {
 // FuzzWarmStartResidual drives the incremental engine with an arbitrary
 // rating sequence, interleaving warm computes, and checks after every
 // compute that the recorded residual bound never increases across
-// iterations — the contraction argument DESIGN.md §8 rests on.
+// iterations — the contraction argument DESIGN.md §8 rests on. An
+// exact-mode twin takes the same ratings and reads: its fixed-round cold
+// passes from the teleport vector contract by (1−α) per round as well.
 func FuzzWarmStartResidual(f *testing.F) {
 	f.Add([]byte{0, 1, 200, 1, 2, 10, 2, 0, 220, 0, 2, 3})
 	f.Add([]byte{5, 5, 255, 4, 3, 0, 3, 4, 128, 2, 1, 90, 1, 0, 200})
@@ -45,6 +43,13 @@ func FuzzWarmStartResidual(f *testing.F) {
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := New(WithEpsilon(1e-10), WithIterations(20), WithRebaseEvery(5))
+		exact := New(WithIterations(20))
+		score := func(subject core.EntityID) {
+			for _, mech := range [2]*Mechanism{m, exact} {
+				mech.Score(core.Query{Subject: subject, Facet: core.FacetOverall})
+				checkResidualsMonotone(t, residualsSnapshot(mech))
+			}
+		}
 		var lastSubject core.EntityID
 		for i := 0; i+2 < len(data); i += 3 {
 			rater := core.NewConsumerID(int(data[i]) % 8)
@@ -57,25 +62,25 @@ func FuzzWarmStartResidual(f *testing.F) {
 			case 2:
 				rating = 0.5
 			}
-			err := m.Submit(core.Feedback{
+			fb := core.Feedback{
 				Consumer: rater,
 				Service:  subject,
 				Ratings:  map[core.Facet]float64{core.FacetOverall: rating},
-			})
-			if err != nil {
-				t.Fatalf("submit %d: %v", i/3, err)
+			}
+			for _, mech := range [2]*Mechanism{m, exact} {
+				if err := mech.Submit(fb); err != nil {
+					t.Fatalf("submit %d: %v", i/3, err)
+				}
 			}
 			// Every few ratings, force a compute (mixing warm propagation,
 			// dense rebases via the tight RebaseEvery, and no-op refreshes)
 			// and check the invariant on whatever work it recorded.
 			if data[i+2]%4 == 0 {
-				m.Score(core.Query{Subject: subject, Facet: core.FacetOverall})
-				checkResidualsMonotone(t, residualsSnapshot(m))
+				score(subject)
 			}
 		}
 		if lastSubject != "" {
-			m.Score(core.Query{Subject: lastSubject, Facet: core.FacetOverall})
-			checkResidualsMonotone(t, residualsSnapshot(m))
+			score(lastSubject)
 		}
 	})
 }

@@ -11,6 +11,9 @@
 // monotone non-increasing (FuzzWarmStartResidual's invariant) and the loop
 // terminates in O(log(‖delta₀‖/eps)) rounds. See DESIGN.md §8 for the
 // soundness conditions and the ε-closeness contract.
+//
+// The indexed basis below is also all the exact mode keeps: it marks the
+// basis cold on every change and reruns powerIterateLocked from scratch.
 package eigentrust
 
 import (
@@ -18,20 +21,26 @@ import (
 	"slices"
 
 	"wstrust/internal/core"
-	"wstrust/internal/p2p"
 )
 
-// incState is the warm-start engine's persistent state: the current trust
-// vector, the pending (not yet propagated) delta, incrementally maintained
-// row sums, and reusable propagation scratch. All fields are guarded by
-// Mechanism.mu. Peer indices are append-only; dense vectors grow with the
-// roster and are reused across submits, so the steady state (no new peers)
-// allocates nothing.
+// incState is the engine's persistent state: the current trust vector,
+// the pending (not yet propagated) delta, incrementally maintained row
+// sums, and reusable propagation and power-iteration scratch. All fields
+// are guarded by Mechanism.mu. Peer indices are append-only; dense vectors
+// grow with the roster and are reused across submits, so the steady state
+// (no new peers) allocates nothing.
 type incState struct {
 	idx    map[core.EntityID]int // peer → dense index, append-only
-	peers  []core.EntityID       // dense index → peer, sorted insertion order not required
+	peers  []core.EntityID       // dense index → peer, in insertion order
+	order  []int                 // dense indices sorted by peer ID, as of the last dense pass
 	t      []float64             // current trust estimate (the warm basis)
+	tele   []float64             // teleport vector p of the last dense pass
 	rowSum []float64             // Σ_j local(i,j), maintained exactly (integer-valued)
+
+	// CSR snapshot of the normalized rows, built by each dense pass.
+	rowEnd []int
+	col    []int
+	w      []float64
 
 	pend   []float64 // pending delta accumulated by Submit, dense
 	inPend []bool    // membership marks for pendIx
@@ -49,20 +58,19 @@ type incState struct {
 	maxIdx   int     // index holding maxSub
 	computes int     // warm computes since the last dense pass (rebase clock)
 
-	valid  bool // a basis vector exists
-	rebase bool // teleport vector changed shape; next refresh must be dense
+	cold   bool // no basis, or the teleport vector changed shape: next refresh is dense from p
 	rescan bool // maxSub may have decreased; rescan before scoring
 }
 
 func newIncState() *incState {
-	return &incState{idx: map[core.EntityID]int{}, maxIdx: -1}
+	return &incState{idx: map[core.EntityID]int{}, maxIdx: -1, cold: true}
 }
 
 // ensureIncIdxLocked interns id into the dense index, growing every vector
-// alongside. A peer joining after a basis exists forces a rebase whenever
-// the teleport vector's shape depends on the roster: always when no
-// pre-trusted set was declared (p is uniform over n), and when the
-// newcomer is itself pre-trusted (p renormalizes over the present subset).
+// alongside. A peer joining marks the basis cold whenever the teleport
+// vector's shape depends on the roster: always when no pre-trusted set
+// was declared (p is uniform over n), and when the newcomer is itself
+// pre-trusted (p renormalizes over the present subset).
 //
 //lint:guarded ensureIncIdxLocked runs with m.mu held by its callers
 func (m *Mechanism) ensureIncIdxLocked(id core.EntityID) int {
@@ -74,14 +82,15 @@ func (m *Mechanism) ensureIncIdxLocked(id core.EntityID) int {
 	s.idx[id] = j
 	s.peers = append(s.peers, id)
 	s.t = append(s.t, 0)
+	s.tele = append(s.tele, 0)
 	s.rowSum = append(s.rowSum, 0)
 	s.pend = append(s.pend, 0)
 	s.inPend = append(s.inPend, false)
 	s.cur = append(s.cur, 0)
 	s.next = append(s.next, 0)
 	s.inNext = append(s.inNext, false)
-	if s.valid && (len(m.preTrusted) == 0 || m.preTrusted[id]) {
-		s.rebase = true
+	if len(m.preTrusted) == 0 || m.preTrusted[id] {
+		s.cold = true
 	}
 	return j
 }
@@ -104,7 +113,7 @@ func (m *Mechanism) noteSubmitLocked(rater, subject core.EntityID, oldVal, newVa
 	if m.counts[subject] == 1 {
 		s.newRated = append(s.newRated, j)
 	}
-	if !s.valid || s.rebase {
+	if s.cold {
 		return // no basis to delta against; next refresh is dense anyway
 	}
 	ti := s.t[i]
@@ -138,14 +147,15 @@ func (m *Mechanism) noteSubmitLocked(rater, subject core.EntityID, oldVal, newVa
 	}
 }
 
-// refreshIncLocked brings the warm vector up to date with all pending
-// edits and records the convergence stats of whatever work that took.
-// Three regimes: dense (no basis yet, a rebase trigger, or the periodic
-// drift-clearing pass every rebaseEvery warm computes), sparse delta
-// propagation (the steady state), and a no-op when nothing is pending.
+// refreshLocked brings the trust vector up to date with all submitted
+// ratings and records the convergence stats of whatever work that took.
+// A cold basis gets a dense pass from the teleport vector; in exact mode
+// that is the only regime. ε mode adds two more: the periodic
+// drift-clearing dense pass every rebaseEvery warm computes, and sparse
+// delta propagation (the steady state), a no-op when nothing is pending.
 //
-//lint:guarded refreshIncLocked runs with m.mu held by Score's locked section
-func (m *Mechanism) refreshIncLocked() {
+//lint:guarded refreshLocked runs with m.mu held by Score and Tick
+func (m *Mechanism) refreshLocked() {
 	s := m.inc
 	n := len(s.peers)
 	if n == 0 {
@@ -158,13 +168,12 @@ func (m *Mechanism) refreshIncLocked() {
 	// passes ≥ n warm computes apart keeps the steady state O(affected
 	// entries) per update; accumulated truncation drift before each
 	// clearing stays ≤ period·eps (the ε-closeness contract, DESIGN.md §8).
-	period := m.rebaseEvery
-	if n > period {
-		period = n
-	}
-	if !s.valid || s.rebase || s.computes >= period {
-		m.denseRefreshLocked(s.valid && !s.rebase)
+	if s.cold || s.computes >= max(m.rebaseEvery, n) {
+		m.powerIterateLocked(!s.cold)
 		return
+	}
+	if m.eps == 0 {
+		return // exact mode: the vector is current until the next Submit or Tick
 	}
 	// Rated-roster changes can raise the normalizer without any trust
 	// mass moving (a neutral rating on an already-scored subject).
@@ -193,7 +202,7 @@ func (m *Mechanism) refreshIncLocked() {
 // sorted order so the float accumulation — and therefore the scores — are
 // bit-deterministic regardless of map iteration order upstream.
 //
-//lint:guarded propagateLocked runs with m.mu held via refreshIncLocked
+//lint:guarded propagateLocked runs with m.mu held via refreshLocked
 func (m *Mechanism) propagateLocked() {
 	s := m.inc
 	s.computes++
@@ -272,99 +281,8 @@ func (m *Mechanism) propagateLocked() {
 	}
 	s.cur, s.next = cur, next
 	s.curIx, s.nextIx = s.curIx[:0], s.nextIx[:0]
-	if m.net != nil && pushes > 0 {
-		m.chargeSendsLocked(pushes)
-	}
+	m.chargeLocked(pushes)
 	m.lastStats = core.ConvergenceStats{Iterations: rounds, Residual: res, WarmStart: true}
-}
-
-// denseRefreshLocked recomputes the fixpoint over all rows with
-// residual-bounded power iteration. warm seeds from the current vector
-// (the periodic drift-clearing rebase); cold seeds from the teleport
-// vector (first basis, or a roster change that reshaped it). Either way
-// the result reflects every submitted rating, so pending deltas are
-// discarded rather than replayed.
-//
-//lint:guarded denseRefreshLocked runs with m.mu held via refreshIncLocked
-func (m *Mechanism) denseRefreshLocked(warm bool) {
-	s := m.inc
-	n := len(s.peers)
-	s.computes = 0
-	s.lastResiduals = s.lastResiduals[:0]
-
-	pvec := make([]float64, n)
-	pre := 0
-	for i, p := range s.peers {
-		if m.preTrusted[p] {
-			pvec[i] = 1
-			pre++
-		}
-	}
-	if pre == 0 {
-		u := 1 / float64(n)
-		for i := range pvec {
-			pvec[i] = u
-		}
-	} else {
-		for i := range pvec {
-			pvec[i] /= float64(pre)
-		}
-	}
-	t := s.t
-	if !warm {
-		copy(t, pvec)
-	}
-	next := s.next
-	maxRounds := 8 * m.iters
-	rounds, res, edges := 0, 0.0, 0
-	for rounds < maxRounds {
-		for j := range next {
-			next[j] = alpha * pvec[j]
-		}
-		edges = 0
-		for i := range s.peers { // ascending index order: deterministic accumulation
-			ti := t[i]
-			sum := s.rowSum[i]
-			if ti == 0 || sum <= 0 {
-				continue
-			}
-			w := (1 - alpha) * ti / sum
-			for sub, v := range m.local[s.peers[i]] { // distinct targets per row
-				if v > 0 {
-					next[s.idx[sub]] += w * v
-					edges++
-				}
-			}
-		}
-		res = 0
-		for j := range next {
-			res += math.Abs(next[j] - t[j])
-		}
-		copy(t, next)
-		rounds++
-		s.lastResiduals = append(s.lastResiduals, res)
-		if res <= m.eps {
-			break
-		}
-	}
-	for j := range next {
-		next[j] = 0
-	}
-	// Pending deltas are against the old basis; the dense pass already
-	// folded their underlying edits in via m.local.
-	for _, j := range s.pendIx {
-		s.pend[j] = 0
-		s.inPend[j] = false
-	}
-	s.pendIx = s.pendIx[:0]
-	s.newRated = s.newRated[:0]
-	s.valid = true
-	s.rebase = false
-	m.rescanMaxLocked()
-	if m.net != nil && edges > 0 {
-		m.chargeSendsLocked(edges * rounds)
-	}
-	m.lastStats = core.ConvergenceStats{Iterations: rounds, Residual: res, WarmStart: warm}
 }
 
 // rescanMaxLocked recomputes the score normalizer from scratch: max trust
@@ -379,45 +297,6 @@ func (m *Mechanism) rescanMaxLocked() {
 			s.maxSub = s.t[j]
 			s.maxIdx = j
 		}
-	}
-}
-
-// scoreIncLocked answers a query from the warm vector, refreshing first.
-//
-//lint:guarded scoreIncLocked runs with m.mu held by Score
-func (m *Mechanism) scoreIncLocked(q core.Query) (core.TrustValue, bool) {
-	m.refreshIncLocked()
-	s := m.inc
-	if m.counts[q.Subject] == 0 {
-		return core.TrustValue{Score: 0.5, Confidence: 0}, false
-	}
-	score := 0.0
-	if j, ok := s.idx[q.Subject]; ok && s.maxSub > 0 {
-		score = math.Min(1, s.t[j]/s.maxSub)
-	}
-	n := float64(m.counts[q.Subject])
-	return core.TrustValue{Score: score, Confidence: n / (n + 5)}, true
-}
-
-// chargeSendsLocked bills k protocol messages to the attached network —
-// the incremental analogue of chargeMessagesLocked's edges×iters volume,
-// sized by the pushes the sparse computation actually performed.
-//
-//lint:guarded chargeSendsLocked runs with m.mu held by its callers
-func (m *Mechanism) chargeSendsLocked(k int) {
-	for _, p := range m.inc.peers {
-		id := p2p.NodeID(p)
-		if !m.joined[p] {
-			m.net.Join(id, func(p2p.NodeID, string, any) any { return "ack" })
-			m.joined[p] = true
-		}
-	}
-	if len(m.inc.peers) < 2 {
-		return
-	}
-	a, b := p2p.NodeID(m.inc.peers[0]), p2p.NodeID(m.inc.peers[1])
-	for i := 0; i < k; i++ {
-		_, _ = m.net.Send(a, b, "et.exchange", nil)
 	}
 }
 
