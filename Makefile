@@ -77,9 +77,10 @@ fuzz-smoke:
 
 # Deterministic crash/corruption chaos suite under the race detector:
 # seeded primary kill mid-commit with promotion and fenced rejoin, seeded
-# partition-then-promote, and torn/bit-flipped WAL and snapshot images —
-# asserting every acked submit survives on the surviving majority and the
-# converged cluster exports byte-identical registries.
+# partition-then-promote, torn/bit-flipped WAL and snapshot images, and a
+# primary restarting on a rotted snapshot while a follower lags behind its
+# log — asserting every acked submit survives on the surviving majority
+# and the converged cluster exports byte-identical registries.
 chaos-smoke:
 	$(GO) test ./internal/chaos -race -count=1
 

@@ -13,7 +13,9 @@
 //     by a named deterministic RNG stream so a failing seed replays
 //     exactly;
 //   - partition, follower promotion under a new fencing epoch, and the
-//     deposed primary rejoining as a fenced follower.
+//     deposed primary rejoining as a fenced follower;
+//   - a primary restarting WAL-only on a rotted snapshot while a
+//     partitioned follower lags behind the start of its log.
 //
 // The harness is a library: scenarios live in the package tests and in
 // make chaos-smoke. All time is simclock time (wall clock, sanctioned

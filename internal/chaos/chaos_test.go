@@ -272,6 +272,71 @@ func TestChaosPartitionPromoteFencesOldPrimary(t *testing.T) {
 	}
 }
 
+// TestChaosPrimaryRestartsOnRottedSnapshot: a follower is partitioned
+// off while the primary keeps writing and compacts past it; the primary
+// is then killed, its snapshot body rots, and it restarts WAL-only, so
+// its log starts past the follower's cursor. The follower rejoins: the
+// source must send it to re-seed rather than open streams that end at
+// once, and the two converge on the primary's export.
+func TestChaosPrimaryRestartsOnRottedSnapshot(t *testing.T) {
+	c := NewCluster(t.TempDir(), 23)
+	p := startT(t, c, "p")
+	f := startT(t, c, "f")
+	if err := f.Follow(p.URL(), 1); err != nil {
+		t.Fatal(err)
+	}
+	submitRange(t, p, 0, 40)
+	if err := WaitCaughtUp(40, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Partition: the follower stays at seq 40 while the primary writes
+	// and compacts, so its WAL starts at seq 101.
+	f.StopFollow()
+	submitRange(t, p, 40, 100)
+	if err := p.Store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	submitRange(t, p, 100, 130)
+
+	img, err := c.Kill(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(img, SnapshotFile)
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap[len(snap)-3] ^= 0x08 // rot the body, not the header
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := c.StartAt("p", img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p2.Stop() })
+	if !p2.Rec.SnapshotCorrupt || p2.Store.Len() != 30 {
+		t.Fatalf("restarted primary holds %d records (%s), want the WAL's 30 from a corrupt snapshot", p2.Store.Len(), p2.Rec)
+	}
+
+	if err := f.Follow(p2.URL(), 2); err != nil {
+		t.Fatal(err)
+	}
+	digest, err := WaitConverged(p2, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := ExportDigest(p2.Store); err != nil || digest != want {
+		t.Fatalf("converged on %s, primary exports %s (%v)", digest, want, err)
+	}
+	assertHolds(t, f, 100, 130, "rejoined follower")
+}
+
 // TestChaosCorruptionRecoveryHonesty feeds seeded torn tails and bit
 // flips to the WAL and snapshot of a stopped node and re-opens each
 // mutilated image. Recovery must never panic, never invent records

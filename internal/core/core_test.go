@@ -267,6 +267,15 @@ func TestEngineUnknownNeutralAndTieBreak(t *testing.T) {
 	if ranked[0].Service != "s001" || ranked[1].Service != "s002" || ranked[2].Service != "s003" {
 		t.Fatalf("tie-break order = %v,%v,%v", ranked[0].Service, ranked[1].Service, ranked[2].Service)
 	}
+	// A known decent service beats an unknown (neutral) one under greedy.
+	mech.scores["s002"] = TrustValue{Score: 0.7, Confidence: 1}
+	got, _, err := e.Select("c001", nil, candidates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Service != "s002" {
+		t.Fatalf("greedy picked %v, want the known s002", got.Service)
+	}
 }
 
 func TestEngineAdvertisedFallback(t *testing.T) {
@@ -350,25 +359,6 @@ func TestEngineEpsilonGreedyExplores(t *testing.T) {
 	}
 }
 
-func TestEngineSoftmaxPrefersHighScores(t *testing.T) {
-	mech := &fakeMech{scores: map[EntityID]TrustValue{
-		"s001": {Score: 0.9, Confidence: 1},
-		"s002": {Score: 0.1, Confidence: 1},
-		"s003": {Score: 0.1, Confidence: 1},
-	}}
-	e := NewEngine(mech, simclock.NewRand(7), WithPolicy(PolicySoftmax), WithTemperature(0.2))
-	top := 0
-	for i := 0; i < 200; i++ {
-		got, _, _ := e.Select("c001", nil, candidates())
-		if got.Service == "s001" {
-			top++
-		}
-	}
-	if top < 120 {
-		t.Fatalf("softmax picked the best only %d/200 times", top)
-	}
-}
-
 func TestEngineDeterministicForSeed(t *testing.T) {
 	mech := &fakeMech{scores: map[EntityID]TrustValue{
 		"s001": {Score: 0.4, Confidence: 0.5},
@@ -400,36 +390,5 @@ func TestEntityIDConstructors(t *testing.T) {
 func TestEntityKindString(t *testing.T) {
 	if KindPerson.String() != "person/agent" || KindResource.String() != "resource" {
 		t.Fatal("EntityKind strings changed")
-	}
-}
-
-func TestEngineUCBExploresUnknowns(t *testing.T) {
-	// s001 is well-known and decent; s002 unknown. UCB's optimism must try
-	// the unknown first; greedy must not.
-	mech := &fakeMech{scores: map[EntityID]TrustValue{
-		"s001": {Score: 0.7, Confidence: 1},
-	}}
-	cands := []Candidate{
-		{Service: "s001", Provider: "p001"},
-		{Service: "s002", Provider: "p002"},
-	}
-	ucb := NewEngine(mech, simclock.NewRand(1), WithPolicy(PolicyUCB), WithUCBWidth(0.5))
-	got, _, err := ucb.Select("c001", nil, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Service != "s002" {
-		t.Fatalf("UCB picked %v, want the unknown s002", got.Service)
-	}
-	greedy := NewEngine(mech, simclock.NewRand(1))
-	got2, _, _ := greedy.Select("c001", nil, cands)
-	if got2.Service != "s001" {
-		t.Fatalf("greedy picked %v, want the known s001", got2.Service)
-	}
-	// With zero width UCB degenerates to greedy.
-	flat := NewEngine(mech, simclock.NewRand(1), WithPolicy(PolicyUCB), WithUCBWidth(0))
-	got3, _, _ := flat.Select("c001", nil, cands)
-	if got3.Service != "s001" {
-		t.Fatalf("zero-width UCB picked %v", got3.Service)
 	}
 }

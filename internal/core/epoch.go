@@ -54,9 +54,6 @@ func (m *Memo[T]) Update(e *Epoch, v T) {
 	m.valid = true
 }
 
-// Invalidate empties the memo regardless of epoch (Reset paths).
-func (m *Memo[T]) Invalidate() { m.valid = false }
-
 // KeyedMemo caches derived values per key with two invalidation grains:
 // Drop(k) evicts one entry (a write that only perturbs k), while an
 // Epoch advance — when one is supplied to Get — discards the whole
@@ -90,9 +87,6 @@ func (km *KeyedMemo[K, V]) Get(e *Epoch, k K, compute func() V) V {
 
 // Drop evicts the entry for k, if any.
 func (km *KeyedMemo[K, V]) Drop(k K) { delete(km.m, k) }
-
-// Reset discards every entry.
-func (km *KeyedMemo[K, V]) Reset() { km.m = nil }
 
 // Len reports the number of cached entries (testing/introspection).
 func (km *KeyedMemo[K, V]) Len() int { return len(km.m) }

@@ -58,9 +58,3 @@ type CostReporter interface {
 	// MessageCount is the number of network messages the mechanism caused.
 	MessageCount() int64
 }
-
-// Resetter is implemented by mechanisms whose state can be cleared between
-// experiment repetitions without reconstructing the object graph.
-type Resetter interface {
-	Reset()
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -42,12 +41,6 @@ const (
 	// getting a chance — the engine-side counterpart of the explorer-agent
 	// idea in Maximilien & Singh [19].
 	PolicyEpsilonGreedy
-	// PolicySoftmax samples proportionally to exp(score/τ).
-	PolicySoftmax
-	// PolicyUCB picks the candidate maximizing score + c·(1−confidence):
-	// optimism under uncertainty, so poorly-known services get structured
-	// (rather than random) exploration. c is set via WithUCBWidth.
-	PolicyUCB
 )
 
 // EngineOption configures an Engine.
@@ -58,19 +51,6 @@ func WithPolicy(p Policy) EngineOption { return func(e *Engine) { e.policy = p }
 
 // WithEpsilon sets the exploration rate for PolicyEpsilonGreedy (default 0.1).
 func WithEpsilon(eps float64) EngineOption { return func(e *Engine) { e.epsilon = eps } }
-
-// WithTemperature sets the softmax temperature (default 0.1).
-func WithTemperature(tau float64) EngineOption { return func(e *Engine) { e.tau = tau } }
-
-// WithUCBWidth sets the exploration bonus weight for PolicyUCB
-// (default 0.3).
-func WithUCBWidth(c float64) EngineOption {
-	return func(e *Engine) {
-		if c >= 0 {
-			e.ucbWidth = c
-		}
-	}
-}
 
 // WithProviderBootstrap enables blending a service's trust with its
 // provider's reputation when service evidence is thin — the Section-5
@@ -93,23 +73,17 @@ func WithAdvertisedFallback(enabled bool) EngineOption {
 // trust scores with the consumer's QoS preference utility, and picks one
 // according to its policy.
 type Engine struct {
-	mech     Mechanism
-	rng      *rand.Rand
-	policy   Policy
-	epsilon  float64
-	tau      float64
-	ucbWidth float64
+	mech    Mechanism
+	rng     *rand.Rand
+	policy  Policy
+	epsilon float64
 
 	providerBootstrap  bool
 	advertisedFallback bool
-
-	// softmaxBuf is reused across softmaxPick calls to avoid per-selection
-	// weight allocations.
-	softmaxBuf []float64
 }
 
-// NewEngine builds a selection engine over mech. rng drives the stochastic
-// policies and must not be nil.
+// NewEngine builds a selection engine over mech. rng drives the
+// ε-greedy policy and must not be nil.
 func NewEngine(mech Mechanism, rng *rand.Rand, opts ...EngineOption) *Engine {
 	if mech == nil {
 		panic("core: NewEngine with nil mechanism")
@@ -117,7 +91,7 @@ func NewEngine(mech Mechanism, rng *rand.Rand, opts ...EngineOption) *Engine {
 	if rng == nil {
 		panic("core: NewEngine with nil rng")
 	}
-	e := &Engine{mech: mech, rng: rng, policy: PolicyGreedy, epsilon: 0.1, tau: 0.1, ucbWidth: 0.3}
+	e := &Engine{mech: mech, rng: rng, policy: PolicyGreedy, epsilon: 0.1}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -222,57 +196,10 @@ func (e *Engine) Select(consumer ConsumerID, prefs qos.Preferences, cands []Cand
 // returns the chosen index. It is the single place policies consume RNG
 // draws, so Engine.Select and RankSession.Select stay bit-identical.
 func (e *Engine) pick(ranked []Ranked) int {
-	switch e.policy {
-	case PolicyEpsilonGreedy:
-		if e.rng.Float64() < e.epsilon {
-			return e.rng.Intn(len(ranked))
-		}
-		return 0
-	case PolicySoftmax:
-		return e.softmaxPick(ranked)
-	case PolicyUCB:
-		return e.ucbPick(ranked)
-	default:
-		return 0
+	if e.policy == PolicyEpsilonGreedy && e.rng.Float64() < e.epsilon {
+		return e.rng.Intn(len(ranked))
 	}
-}
-
-// ucbPick maximizes score plus an uncertainty bonus; ties break toward
-// the earlier (already best-sorted) candidate.
-func (e *Engine) ucbPick(ranked []Ranked) int {
-	best, bestVal := 0, math.Inf(-1)
-	for i, r := range ranked {
-		v := r.Score + e.ucbWidth*(1-r.Trust.Confidence)
-		if v > bestVal {
-			best, bestVal = i, v
-		}
-	}
-	return best
-}
-
-func (e *Engine) softmaxPick(ranked []Ranked) int {
-	tau := e.tau
-	if tau <= 0 {
-		tau = 1e-6
-	}
-	if cap(e.softmaxBuf) < len(ranked) {
-		e.softmaxBuf = make([]float64, len(ranked))
-	}
-	weights := e.softmaxBuf[:len(ranked)]
-	maxScore := ranked[0].Score
-	total := 0.0
-	for i, r := range ranked {
-		weights[i] = math.Exp((r.Score - maxScore) / tau)
-		total += weights[i]
-	}
-	x := e.rng.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x <= 0 {
-			return i
-		}
-	}
-	return len(ranked) - 1
+	return 0
 }
 
 // RankSession amortizes ranking over repeated calls against the same

@@ -272,15 +272,6 @@ func (e *Env) FaultStats() fault.Stats {
 	return e.injector.Stats()
 }
 
-// RetryStats reports how many transport retries fired and the virtual time
-// they waited (zero when faults are off).
-func (e *Env) RetryStats() (retries int64, waited time.Duration) {
-	if e.retrier == nil {
-		return 0, 0
-	}
-	return e.retrier.Retries(), e.retrier.Waited()
-}
-
 // Spec returns the generated spec for a service.
 func (e *Env) Spec(id core.ServiceID) (workload.ServiceSpec, bool) {
 	s, ok := e.specByID[id]

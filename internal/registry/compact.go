@@ -83,11 +83,10 @@ func (s *Store) extendSnapshot() (snapFacts, error) {
 	if liveLen < 0 {
 		return snapFacts{}, fmt.Errorf("%w: wal is %d bytes, live frames start at %d", errStale, info.Size(), old.walOff)
 	}
-	next := snapFacts{
-		valid:   true,
-		count:   s.Len(),
-		lastSeq: s.seq.Load(),
-		bodyLen: old.bodyLen + liveLen,
+	v := s.log.view()
+	next := snapFacts{valid: true, count: v.n, bodyLen: old.bodyLen + liveLen}
+	if v.n > 0 {
+		next.lastSeq = v.at(v.n - 1).seq
 	}
 	head := fmt.Appendf(nil, "%s %d %d ", snapPrefixV2, next.count, next.lastSeq)
 	crcAt := int64(len(head))

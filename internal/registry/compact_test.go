@@ -90,7 +90,7 @@ func seqRecords(recs []record) iter.Seq2[uint64, core.Feedback] {
 // memoryDoc is the snapshot the memory path writes for the store as it is.
 func memoryDoc(t *testing.T, s *Store) []byte {
 	t.Helper()
-	doc, _, err := buildSnapshotDoc(seqRecords(sortedRecords(t, s)), s.LastSeq(), s.Marks())
+	doc, _, err := buildSnapshotDoc(seqRecords(sortedRecords(t, s)), s.Marks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func historyStarts() map[string]func(t *testing.T, rng *rand.Rand, dir string) *
 			for i := range recs {
 				recs[i] = record{seq: uint64(i + 1), fb: randFeedback(rng, 1000+i)}
 			}
-			doc, facts, err := buildSnapshotDoc(seqRecords(recs), 25, nil)
+			doc, facts, err := buildSnapshotDoc(seqRecords(recs), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,10 +447,12 @@ func TestCompactionHealsDamagedFiles(t *testing.T) {
 }
 
 // TestOddSnapshotIsReencoded: a snapshot that verifies but is not what
-// the memory path would write for its records — sequence numbers that do
-// not end at its lastSeq, bytes past its records, frames whose epochs the
-// installed marks contradict — is not extended; the next compaction
-// re-encodes it, and the store reopens to what it held.
+// the memory path would write for its records — seqs with a gap, frames
+// whose epochs the installed marks contradict — is not extended; the next
+// compaction re-encodes it, and the store reopens to what it held. An s2
+// header that disagrees with its body — a lastSeq past its records, bytes
+// past its records — is reported corrupt instead: Open falls back to the
+// WAL, and the next compaction replaces the file.
 func TestOddSnapshotIsReencoded(t *testing.T) {
 	frames := func(seqs ...uint64) []byte {
 		var body []byte
@@ -467,25 +469,30 @@ func TestOddSnapshotIsReencoded(t *testing.T) {
 		head := fmt.Sprintf("s2 %d %d %08x %d\n", count, lastSeq, crc32.ChecksumIEEE(body), len(body))
 		return append([]byte(head), body...)
 	}
-	cases := map[string]func(t *testing.T, dir string) *Store{
-		"lastSeq-past-records": func(t *testing.T, dir string) *Store {
+	cases := map[string]struct {
+		open    func(t *testing.T, dir string) (*Store, Recovery)
+		corrupt bool
+	}{
+		"lastSeq-past-records": {func(t *testing.T, dir string) (*Store, Recovery) {
 			writeFileT(t, filepath.Join(dir, snapshotName), s2(3, 9, frames(1, 2, 3)))
-			s, _ := openT(t, dir, WALOptions{})
-			return s
-		},
-		"bytes-past-records": func(t *testing.T, dir string) *Store {
+			return openT(t, dir, WALOptions{})
+		}, true},
+		"bytes-past-records": {func(t *testing.T, dir string) (*Store, Recovery) {
 			writeFileT(t, filepath.Join(dir, snapshotName), s2(2, 2, frames(1, 2, 3)))
-			s, _ := openT(t, dir, WALOptions{})
-			return s
-		},
-		"epochs-contradict-marks": func(t *testing.T, dir string) *Store {
+			return openT(t, dir, WALOptions{})
+		}, true},
+		"seqs-with-a-gap": {func(t *testing.T, dir string) (*Store, Recovery) {
+			writeFileT(t, filepath.Join(dir, snapshotName), s2(2, 3, frames(1, 3)))
+			return openT(t, dir, WALOptions{})
+		}, false},
+		"epochs-contradict-marks": {func(t *testing.T, dir string) (*Store, Recovery) {
 			var doc bytes.Buffer
 			src := NewStore()
 			submitN(t, src, 0, 6)
 			if _, _, err := src.WriteSnapshotTo(&doc); err != nil {
 				t.Fatal(err)
 			}
-			s, _ := openT(t, dir, WALOptions{})
+			s, rec := openT(t, dir, WALOptions{})
 			// Marks that put frames 4.. in epoch 1, which the seeded
 			// epoch-0 frames contradict.
 			if err := s.InstallMarks([]EpochMark{{Epoch: 1, Start: 4}}); err != nil {
@@ -494,15 +501,35 @@ func TestOddSnapshotIsReencoded(t *testing.T) {
 			if _, err := s.SeedFromSnapshot(doc.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-			return s
-		},
+			return s, rec
+		}, false},
 	}
-	for name, open := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s := open(t, dir)
+			s, rec := tc.open(t, dir)
+			if rec.SnapshotCorrupt != tc.corrupt || (tc.corrupt && (rec.SnapshotWarning == "" || s.Len() != 0)) {
+				t.Fatalf("opened %d records (%s), want corrupt=%v", s.Len(), rec, tc.corrupt)
+			}
 			submitN(t, s, 50, 52)
-			if err := reencodes(t, s, dir).Close(); err != nil {
+			if !tc.corrupt {
+				if err := reencodes(t, s, dir).Close(); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			want := exportOf(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, rec := openT(t, dir, WALOptions{})
+			if rec.SnapshotCorrupt || !bytes.Equal(exportOf(t, re), want) {
+				t.Fatalf("the compaction after the fallback did not replace the file (%s)", rec)
+			}
+			if err := re.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})

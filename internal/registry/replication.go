@@ -50,9 +50,11 @@ var (
 	// history does not assign to its sequence number — the write of a
 	// deposed primary.
 	ErrFenced = errors.New("registry: frame epoch fenced")
-	// ErrHorizon reports a FramesSince cursor older than the log's first
-	// record; the caller must bootstrap from a snapshot instead.
-	ErrHorizon = errors.New("registry: requested frames are before the log horizon")
+	// ErrHorizon reports a FramesSince cursor the log cannot continue:
+	// the next logged record is not the cursor's successor, because the
+	// cursor predates the log's first record or sits at a gap in its
+	// seqs. The caller must bootstrap from a snapshot instead.
+	ErrHorizon = errors.New("registry: no logged record continues the cursor")
 )
 
 // EpochMark records one promotion: frames with sequence numbers >= Start
@@ -359,11 +361,12 @@ func (s *Store) notifyCommit() {
 // FramesSince returns up to limit committed frames with sequence numbers
 // > after, in order. It binary-searches the log for the cursor and reads
 // the records behind it without blocking the write path. An empty result
-// means the caller is caught up; ErrHorizon means after predates the log
-// (a store reopened WAL-only from a corrupt snapshot starts past seq 1)
-// and the caller must bootstrap from a snapshot. Only the contiguous run
-// starting exactly at the cursor ships: a store recovered from a mangled
-// image can hold a gap in its seqs, which no frame can cross.
+// means the caller is caught up. ErrHorizon means the first logged record
+// past the cursor is not after+1, so no frame can extend the caller's log:
+// a store reopened WAL-only from a corrupt snapshot starts past seq 1, and
+// one recovered from a mangled image can hold a gap in its seqs. The
+// caller must bootstrap from a snapshot. The frames shipped stop before a
+// gap; a cursor at the gap then gets ErrHorizon.
 func (s *Store) FramesSince(after uint64, limit int) ([]Frame, error) {
 	if limit <= 0 {
 		limit = 1 << 9
@@ -372,11 +375,11 @@ func (s *Store) FramesSince(after uint64, limit int) ([]Frame, error) {
 	if v.n == 0 || after >= v.at(v.n-1).seq {
 		return nil, nil
 	}
-	if after+1 < v.at(0).seq {
-		return nil, fmt.Errorf("%w: cursor %d predates the log", ErrHorizon, after)
+	i := sort.Search(v.n, func(i int) bool { return v.at(i).seq > after })
+	if next := v.at(i).seq; next != after+1 {
+		return nil, fmt.Errorf("%w: cursor %d is followed by seq %d", ErrHorizon, after, next)
 	}
 	marks := s.Marks()
-	i := sort.Search(v.n, func(i int) bool { return v.at(i).seq > after })
 	frames := make([]Frame, 0, min(limit, v.n-i))
 	for ; i < v.n && len(frames) < limit; i++ {
 		r := v.at(i)
@@ -454,20 +457,11 @@ func (s *Store) ApplyReplicated(frames []Frame) ([]core.Feedback, error) {
 // WriteSnapshotTo streams the store's full state in the checksummed
 // snapshot document format — the payload of a replica bootstrap transfer.
 // It walks the log without its lock, so concurrent submits are not
-// blocked. The document stops at the first sequence gap, which only a
-// store recovered from a mangled image holds; its lastSeq is the last
-// record's.
+// blocked. The document holds every record under its own seq, across any
+// gap a store recovered from a mangled image holds, and its lastSeq is the
+// last record's.
 func (s *Store) WriteSnapshotTo(w io.Writer) (records int, lastSeq uint64, err error) {
-	prefix := func(yield func(uint64, core.Feedback) bool) {
-		prev := uint64(0) // no record has sequence number 0
-		for seq, fb := range s.log.view().all() {
-			if (prev != 0 && seq != prev+1) || !yield(seq, fb) {
-				return
-			}
-			prev = seq
-		}
-	}
-	doc, facts, err := buildSnapshotDoc(prefix, 0, s.Marks())
+	doc, facts, err := buildSnapshotDoc(s.log.view().all(), s.Marks())
 	if err != nil {
 		return 0, 0, fmt.Errorf("registry: snapshot transfer: %w", err)
 	}

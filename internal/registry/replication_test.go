@@ -224,8 +224,10 @@ func sameFrames(a, b []Frame) bool {
 // 1..n but one, with the gap between the last record of the first chunk
 // and the first of the second — and checks every ordered read from
 // cursors on both sides of the chunk boundary: FramesSince ships exactly
-// the contiguous run from each cursor, WriteSnapshotTo stops at the gap,
-// Export and Replay feed every record in sequence order.
+// the contiguous run from each cursor and answers the cursor at the gap
+// with ErrHorizon, WriteSnapshotTo ships every record and seeds a store
+// that holds them all, Export and Replay feed every record in sequence
+// order.
 func TestGappedLogAcrossChunks(t *testing.T) {
 	const n, gap = logChunk + 40, logChunk + 1
 	rng := rand.New(rand.NewSource(7))
@@ -272,6 +274,13 @@ func TestGappedLogAcrossChunks(t *testing.T) {
 				}
 			}
 			got, err := s.FramesSince(after, max)
+			if after == gap-1 {
+				// No frame can extend a log that ends before the gap.
+				if !errors.Is(err, ErrHorizon) || got != nil {
+					t.Fatalf("FramesSince(%d, %d) at the gap shipped %d frames (err %v), want ErrHorizon", after, max, len(got), err)
+				}
+				continue
+			}
 			if err != nil || !sameFrames(got, exp) {
 				t.Fatalf("FramesSince(%d, %d) shipped %d frames (err %v), want %d", after, max, len(got), err, len(exp))
 			}
@@ -280,8 +289,8 @@ func TestGappedLogAcrossChunks(t *testing.T) {
 
 	var doc bytes.Buffer
 	records, lastSeq, err := s.WriteSnapshotTo(&doc)
-	if err != nil || records != gap-1 || lastSeq != gap-1 {
-		t.Fatalf("WriteSnapshotTo wrote %d records to seq %d (err %v), want the %d before the gap", records, lastSeq, err, gap-1)
+	if err != nil || records != n-1 || lastSeq != n {
+		t.Fatalf("WriteSnapshotTo wrote %d records to seq %d (err %v), want %d to seq %d", records, lastSeq, err, n-1, n)
 	}
 	seeded := NewStore()
 	if err := seeded.InstallMarks(marks); err != nil {
@@ -290,8 +299,14 @@ func TestGappedLogAcrossChunks(t *testing.T) {
 	if _, err := seeded.SeedFromSnapshot(doc.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := seeded.FramesSince(0, 1<<20); err != nil || !sameFrames(got, want[:gap-1]) {
-		t.Fatalf("the document seeds %d frames (err %v), want the %d before the gap", len(got), err, gap-1)
+	before, err := seeded.FramesSince(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	past, err := seeded.FramesSince(gap, 1<<20)
+	if err != nil || !sameFrames(append(before, past...), want) || seeded.LastSeq() != n {
+		t.Fatalf("the document seeds %d+%d frames to seq %d (err %v), want %d to seq %d",
+			len(before), len(past), seeded.LastSeq(), err, len(want), n)
 	}
 
 	var export bytes.Buffer
@@ -454,6 +469,47 @@ func TestResetReplicaWipes(t *testing.T) {
 	}
 }
 
+// TestSnapshotBitFlips flips every bit of a small s2 document in turn.
+// The body checksum catches a flip in the body, and the header checks
+// catch one in the header, so each flip is either reported corrupt or
+// parses to the same frames and facts (an upper-case checksum digit reads
+// as the same value).
+func TestSnapshotBitFlips(t *testing.T) {
+	src := NewStore()
+	submitN(t, src, 0, 12)
+	var buf bytes.Buffer
+	if _, _, err := src.WriteSnapshotTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.Bytes()
+	want, wantFacts, corrupt, err := parseSnapshotDoc(doc, "original")
+	if err != nil || corrupt != nil {
+		t.Fatalf("the unflipped document fails: %v %v", err, corrupt)
+	}
+	flipped := make([]byte, len(doc))
+	same := 0
+	for i := range doc {
+		for bit := 0; bit < 8; bit++ {
+			copy(flipped, doc)
+			flipped[i] ^= 1 << bit
+			frames, facts, corrupt, err := parseSnapshotDoc(flipped, "flipped")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if corrupt != nil {
+				continue
+			}
+			if facts != wantFacts || !reflect.DeepEqual(frames, want) {
+				t.Errorf("flipping bit %d of byte %d (%q) parses as %d records to seq %d, not corrupt",
+					bit, i, doc[i], facts.count, facts.lastSeq)
+				continue
+			}
+			same++
+		}
+	}
+	t.Logf("%d of %d flips parse to the same document", same, 8*len(doc))
+}
+
 // TestSnapshotCorruptFallsBackToWAL is the checksummed-snapshot
 // contract: a snapshot that fails its header or body verification must
 // not fail Open — recovery falls back to WAL-only replay and says so.
@@ -498,6 +554,15 @@ func TestSnapshotCorruptFallsBackToWAL(t *testing.T) {
 		}},
 		{"truncated body", func(b []byte) []byte {
 			return b[:len(b)-len(b)/4]
+		}},
+		// The body checksum does not cover the header's count and
+		// lastSeq: one bit flipped in either must not pass as a shorter
+		// snapshot, or as one covering WAL frames 41..50.
+		{"count flipped to 00", func(b []byte) []byte {
+			return bytes.Replace(b, []byte("s2 40 40 "), []byte("s2 00 40 "), 1)
+		}},
+		{"lastSeq flipped to 50", func(b []byte) []byte {
+			return bytes.Replace(b, []byte("s2 40 40 "), []byte("s2 40 50 "), 1)
 		}},
 	}
 	for _, tc := range cases {

@@ -477,9 +477,9 @@ func readSnapshot(path string) (frames []snapFrame, facts snapFacts, corrupt, er
 // parseSnapshotDoc verifies and decodes a snapshot document (from disk or
 // a replica transfer). Structural/checksum problems come back as corrupt,
 // never half-applied records; label names the source in error messages.
-// facts describes the document's header and body; it is valid when the
-// body holds exactly its count records, and the caller still checks their
-// sequence numbers and epochs (denseFrames).
+// An s2 header must agree with its body: exactly count frames, the last
+// at lastSeq. facts describes the document's header and body; the caller
+// still checks the frames' sequence numbers and epochs (denseFrames).
 func parseSnapshotDoc(data []byte, label string) (frames []snapFrame, facts snapFacts, corrupt, err error) {
 	path := label
 	line, body, ok := bytes.Cut(data, []byte{'\n'})
@@ -534,11 +534,26 @@ func parseSnapshotDoc(data []byte, label string) (frames []snapFrame, facts snap
 		}
 		frames = append(frames, snapFrame{epoch: epoch, seq: seq, fb: fb})
 	}
+	// The s2 checksum covers only the body, so the header's count and
+	// lastSeq are checked against it: the body holds exactly count
+	// frames, the last of them at lastSeq (0 for an empty body).
+	if !legacy {
+		if len(rest) != 0 {
+			return nil, facts, fmt.Errorf("snapshot %s: %d bytes past the %d records the header counts", path, len(rest), count), nil
+		}
+		end := uint64(0)
+		if count > 0 {
+			end = frames[count-1].seq
+		}
+		if end != last {
+			return nil, facts, fmt.Errorf("snapshot %s: last record has seq %d, header says %d", path, end, last), nil
+		}
+	}
+	// A legacy body may trail bytes past its records; only the records
+	// are carried forward, under a checksum taken now.
 	used := body[:len(body)-len(rest)]
 	facts = snapFacts{
-		// A legacy body may trail bytes past its records; only the
-		// records are carried forward, under a checksum taken now.
-		valid:   legacy || len(rest) == 0,
+		valid:   true,
 		count:   count,
 		lastSeq: last,
 		crc:     crc,
@@ -695,15 +710,15 @@ func (s *Store) compact() {
 }
 
 // buildSnapshotDoc renders the full snapshot document — checksummed s2
-// header plus one frame per record — for the records recs yields with
-// their sequence numbers, with the facts of the document. Each frame
+// header plus one frame per record — for the records recs yields in
+// ascending sequence order, with the facts of the document. Each frame
 // carries its record's own sequence number and the epoch the marks assign
 // it, so a replica seeded from this document, or the store reopened from
-// it, reconstructs the same history. The header's lastSeq is lastSeq, or
-// the last record's sequence number if that is higher.
-func buildSnapshotDoc(recs iter.Seq2[uint64, core.Feedback], lastSeq uint64, marks []EpochMark) ([]byte, snapFacts, error) {
+// it, reconstructs the same history. The header's lastSeq is the last
+// record's sequence number (0 when there is none).
+func buildSnapshotDoc(recs iter.Seq2[uint64, core.Feedback], marks []EpochMark) ([]byte, snapFacts, error) {
 	var body []byte
-	count := 0
+	count, lastSeq := 0, uint64(0)
 	for seq, fb := range recs {
 		payload, err := marshalRecord(fb)
 		if err != nil {
@@ -711,7 +726,7 @@ func buildSnapshotDoc(recs iter.Seq2[uint64, core.Feedback], lastSeq uint64, mar
 		}
 		body = appendFrame(body, epochAt(marks, seq), seq, crc32.ChecksumIEEE(payload), payload)
 		count++
-		lastSeq = max(lastSeq, seq)
+		lastSeq = seq
 	}
 	facts := snapFacts{
 		valid:   true,
@@ -750,7 +765,7 @@ func (s *Store) snapshotLocked() error {
 	}
 	if errors.Is(err, errStale) {
 		var doc []byte
-		if doc, next, err = buildSnapshotDoc(s.log.view().all(), s.seq.Load(), s.Marks()); err == nil {
+		if doc, next, err = buildSnapshotDoc(s.log.view().all(), s.Marks()); err == nil {
 			err = writeFileAtomic(w.dir, snapshotName, doc)
 		}
 	}

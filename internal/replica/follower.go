@@ -262,7 +262,8 @@ func (f *Follower) bootstrap(ctx context.Context, st Status) error {
 // stream opens the WAL tail at the local cursor and applies frames in
 // durable batches until the connection ends. 403 means we are fenced
 // ahead of the source (error), 409 means the cursor diverged
-// (errDiverged — caller re-seeds).
+// (errDiverged — caller re-seeds), and a stream that ends before it
+// delivered a frame is an error too.
 func (f *Follower) stream(ctx context.Context) error {
 	store := f.cfg.Store
 	from := store.LastSeq()
@@ -300,6 +301,7 @@ func (f *Follower) stream(ctx context.Context) error {
 	defer f.streaming.Store(false)
 	br := bufio.NewReaderSize(resp.Body, 1<<16)
 	var batch []registry.Frame
+	applied := false
 	for {
 		// Block for one frame, then drain whatever else is already
 		// buffered (up to BatchApply) so a backlog lands in few group
@@ -310,6 +312,11 @@ func (f *Follower) stream(ctx context.Context) error {
 			// next attempt resumes from the acked cursor.
 			if len(line) > 0 {
 				f.logf("replica: stream severed mid-frame (%d bytes discarded)", len(line))
+			}
+			if !applied {
+				// Nothing flowed: a failed attempt, so Run backs off
+				// instead of reconnecting at once.
+				return errors.New("replica: stream ended before any frame")
 			}
 			return nil
 		}
@@ -337,6 +344,7 @@ func (f *Follower) stream(ctx context.Context) error {
 			}
 			return err
 		}
+		applied = true
 		if last := batch[len(batch)-1].Seq; last > f.primarySeq.Load() {
 			f.primarySeq.Store(last)
 		}

@@ -81,9 +81,12 @@ func (src *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 //
 //	403 — the follower is fenced ahead of this source (fence > epoch):
 //	      a deposed primary must not feed a promoted follower.
-//	409 — the cursor diverged: it is beyond this source's horizon, below
-//	      its compaction horizon, or its epoch disagrees with the
-//	      source's mark history. The follower must re-seed from snapshot.
+//	409 — the cursor diverged: it is beyond this source's horizon, no
+//	      logged record continues it (it predates the log, or sits at a
+//	      gap in its seqs), or its epoch disagrees with the source's mark
+//	      history. The follower must re-seed from snapshot.
+//
+// A stream that reaches a gap ends; the follower's reconnect gets the 409.
 func (src *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
@@ -124,6 +127,15 @@ func (src *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 	if maxBatch <= 0 {
 		maxBatch = 512
 	}
+	// Grab the broadcast channel before reading frames: a commit that
+	// lands between the read and the select closes this channel, so no
+	// wakeup is lost.
+	updates := src.Store.Updates()
+	frames, err := src.Store.FramesSince(from, maxBatch)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("diverged: %v", err), http.StatusConflict)
+		return
+	}
 	flusher, _ := w.(http.Flusher)
 	// Commit the 200 and push the headers out before the first frame (or
 	// the long-poll park): the follower flips to streaming state when the
@@ -132,20 +144,8 @@ func (src *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	cur := from
 	var buf []byte
 	for {
-		// Grab the broadcast channel before reading frames: a commit that
-		// lands between the read and the select closes this channel, so
-		// no wakeup is lost.
-		updates := src.Store.Updates()
-		frames, err := src.Store.FramesSince(cur, maxBatch)
-		if err != nil {
-			// The cursor predates the log (a store reopened WAL-only
-			// from a corrupt snapshot starts past seq 1) — sever; the
-			// follower re-syncs.
-			return
-		}
 		if len(frames) > 0 {
 			buf = buf[:0]
 			for i := range frames {
@@ -157,14 +157,20 @@ func (src *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 			if flusher != nil {
 				flusher.Flush()
 			}
-			cur = frames[len(frames)-1].Seq
-			continue
+			from = frames[len(frames)-1].Seq
+		} else {
+			select {
+			case <-updates:
+			case <-r.Context().Done():
+				return
+			case <-src.drain():
+				return
+			}
 		}
-		select {
-		case <-updates:
-		case <-r.Context().Done():
-			return
-		case <-src.drain():
+		updates = src.Store.Updates()
+		if frames, err = src.Store.FramesSince(from, maxBatch); err != nil {
+			// The stream reached a gap in the log: end it, and the
+			// follower's reconnect gets the 409 above.
 			return
 		}
 	}

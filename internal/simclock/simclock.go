@@ -1,6 +1,6 @@
 // Package simclock provides the deterministic time substrate used by every
-// simulated component in wstrust: a virtual clock, a discrete-event queue,
-// and seeded random-number streams.
+// simulated component in wstrust: a virtual clock and seeded random-number
+// streams.
 //
 // All of the trust and reputation experiments in this repository must be
 // reproducible from a single seed. To make that possible no component reads
@@ -9,7 +9,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -75,117 +74,3 @@ type fixedClock time.Time
 
 // Now implements Clock.
 func (f fixedClock) Now() time.Time { return time.Time(f) }
-
-// Event is a unit of work scheduled on an EventQueue.
-type Event struct {
-	// At is the simulated instant the event fires.
-	At time.Time
-	// Run is invoked when the event fires.
-	Run func()
-
-	seq int // tie-break so equal-time events fire in scheduling order
-	idx int // heap index
-}
-
-// EventQueue is a discrete-event scheduler driving a Virtual clock. Events
-// fire in timestamp order; ties fire in the order they were scheduled, which
-// keeps runs deterministic. EventQueue is not safe for concurrent use: the
-// simulations in this repository are single-threaded by design (see
-// DESIGN.md §5 — determinism outranks parallelism here).
-type EventQueue struct {
-	clock *Virtual
-	heap  eventHeap
-	seq   int
-}
-
-// NewEventQueue returns an empty queue driving clock.
-func NewEventQueue(clock *Virtual) *EventQueue {
-	return &EventQueue{clock: clock}
-}
-
-// Len reports the number of pending events.
-func (q *EventQueue) Len() int { return len(q.heap) }
-
-// Schedule enqueues run to fire at absolute instant at. Scheduling in the
-// past panics, as it would make the event order ambiguous.
-func (q *EventQueue) Schedule(at time.Time, run func()) {
-	if at.Before(q.clock.Now()) {
-		panic(fmt.Sprintf("simclock: Schedule at %v before now %v", at, q.clock.Now()))
-	}
-	q.seq++
-	heap.Push(&q.heap, &Event{At: at, Run: run, seq: q.seq})
-}
-
-// ScheduleAfter enqueues run to fire d after the current instant.
-func (q *EventQueue) ScheduleAfter(d time.Duration, run func()) {
-	q.Schedule(q.clock.Now().Add(d), run)
-}
-
-// Step fires the earliest pending event, advancing the clock to its
-// timestamp. It reports false when the queue is empty.
-func (q *EventQueue) Step() bool {
-	if len(q.heap) == 0 {
-		return false
-	}
-	ev := heap.Pop(&q.heap).(*Event)
-	q.clock.Set(ev.At)
-	ev.Run()
-	return true
-}
-
-// RunUntil fires events in order until the queue is empty or the next event
-// is after deadline. It returns the number of events fired.
-func (q *EventQueue) RunUntil(deadline time.Time) int {
-	n := 0
-	for len(q.heap) > 0 && !q.heap[0].At.After(deadline) {
-		q.Step()
-		n++
-	}
-	return n
-}
-
-// Drain fires all pending events, including ones scheduled by other events,
-// and returns the number fired. limit bounds the total so a self-scheduling
-// event cannot loop forever; Drain panics if the limit is exceeded.
-func (q *EventQueue) Drain(limit int) int {
-	n := 0
-	for q.Step() {
-		n++
-		if n > limit {
-			panic(fmt.Sprintf("simclock: Drain exceeded %d events", limit))
-		}
-	}
-	return n
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].At.Equal(h[j].At) {
-		return h[i].At.Before(h[j].At)
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}

@@ -53,103 +53,6 @@ func TestFixed(t *testing.T) {
 	}
 }
 
-func TestEventQueueFiresInTimestampOrder(t *testing.T) {
-	v := NewVirtual()
-	q := NewEventQueue(v)
-	var got []int
-	q.Schedule(Epoch.Add(3*time.Second), func() { got = append(got, 3) })
-	q.Schedule(Epoch.Add(1*time.Second), func() { got = append(got, 1) })
-	q.Schedule(Epoch.Add(2*time.Second), func() { got = append(got, 2) })
-	if n := q.Drain(10); n != 3 {
-		t.Fatalf("Drain fired %d events, want 3", n)
-	}
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fire order %v, want %v", got, want)
-		}
-	}
-	if !v.Now().Equal(Epoch.Add(3 * time.Second)) {
-		t.Fatalf("clock ended at %v, want %v", v.Now(), Epoch.Add(3*time.Second))
-	}
-}
-
-func TestEventQueueTiesFireInScheduleOrder(t *testing.T) {
-	v := NewVirtual()
-	q := NewEventQueue(v)
-	at := Epoch.Add(time.Second)
-	var got []int
-	for i := 0; i < 5; i++ {
-		i := i
-		q.Schedule(at, func() { got = append(got, i) })
-	}
-	q.Drain(10)
-	for i := 0; i < 5; i++ {
-		if got[i] != i {
-			t.Fatalf("tie order %v, want ascending schedule order", got)
-		}
-	}
-}
-
-func TestEventQueueSelfScheduling(t *testing.T) {
-	v := NewVirtual()
-	q := NewEventQueue(v)
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 4 {
-			q.ScheduleAfter(time.Second, tick)
-		}
-	}
-	q.ScheduleAfter(time.Second, tick)
-	q.Drain(100)
-	if count != 4 {
-		t.Fatalf("self-scheduling event fired %d times, want 4", count)
-	}
-}
-
-func TestEventQueueRunUntil(t *testing.T) {
-	v := NewVirtual()
-	q := NewEventQueue(v)
-	fired := 0
-	for i := 1; i <= 5; i++ {
-		q.Schedule(Epoch.Add(time.Duration(i)*time.Minute), func() { fired++ })
-	}
-	if n := q.RunUntil(Epoch.Add(3 * time.Minute)); n != 3 {
-		t.Fatalf("RunUntil fired %d, want 3", n)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("pending = %d, want 2", q.Len())
-	}
-}
-
-func TestEventQueueSchedulePastPanics(t *testing.T) {
-	v := NewVirtual()
-	v.Advance(time.Hour)
-	q := NewEventQueue(v)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Schedule in the past did not panic")
-		}
-	}()
-	q.Schedule(Epoch, func() {})
-}
-
-func TestEventQueueDrainLimitPanics(t *testing.T) {
-	v := NewVirtual()
-	q := NewEventQueue(v)
-	var loop func()
-	loop = func() { q.ScheduleAfter(time.Second, loop) }
-	q.ScheduleAfter(time.Second, loop)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Drain of an infinite chain did not panic")
-		}
-	}()
-	q.Drain(10)
-}
-
 func TestNewRandDeterministic(t *testing.T) {
 	a, b := NewRand(7), NewRand(7)
 	for i := 0; i < 100; i++ {

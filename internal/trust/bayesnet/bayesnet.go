@@ -147,7 +147,6 @@ type Mechanism struct {
 
 var (
 	_ core.Mechanism    = (*Mechanism)(nil)
-	_ core.Resetter     = (*Mechanism)(nil)
 	_ core.CostReporter = (*Mechanism)(nil)
 )
 
@@ -344,18 +343,3 @@ func (m *Mechanism) RecommendationTrust(owner, recommender core.ConsumerID) floa
 
 // MessageCount implements core.CostReporter.
 func (m *Mechanism) MessageCount() int64 { return m.net.MessageCount() }
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, ag := range m.agents {
-		ag.mu.Lock()
-		ag.models = map[core.EntityID]*netModel{}
-		ag.recHit = map[core.ConsumerID]float64{}
-		ag.recMiss = map[core.ConsumerID]float64{}
-		ag.pending = map[core.EntityID]map[core.ConsumerID]float64{}
-		ag.mu.Unlock()
-	}
-	m.counts = map[core.EntityID]float64{}
-}

@@ -97,7 +97,6 @@ type Mechanism struct {
 var (
 	_ core.Mechanism      = (*Mechanism)(nil)
 	_ core.ProviderScorer = (*Mechanism)(nil)
-	_ core.Resetter       = (*Mechanism)(nil)
 )
 
 // New builds a Beta reputation mechanism.
@@ -220,13 +219,4 @@ func (m *Mechanism) lookup(pools map[subjectKey]*evidence, k subjectKey) (core.T
 		return core.TrustValue{Score: 0.5, Confidence: 0}, false
 	}
 	return ev.score(), true
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.global = map[subjectKey]*evidence{}
-	m.direct = map[directKey]*evidence{}
-	m.providers = map[subjectKey]*evidence{}
 }

@@ -199,15 +199,6 @@ func TestContextWildcardFallback(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	m := New(WithPersonalized(true))
-	_ = m.Submit(fb("c001", "s001", 1, simclock.Epoch))
-	m.Reset()
-	if _, ok := m.Score(q("s001")); ok {
-		t.Fatal("state survived Reset")
-	}
-}
-
 // Property: score is always within [0,1], confidence within [0,1), and
 // more positive than negative evidence implies score > 0.5.
 func TestScoreBoundsProperty(t *testing.T) {

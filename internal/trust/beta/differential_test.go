@@ -18,12 +18,11 @@ func TestDifferential(t *testing.T) {
 	}, trusttest.Market(63, 12, 8, 10, 0.6))
 }
 
-// TestConcurrentSubmitScoreReset runs the shared hammer, which adds Reset
-// and global queries to the existing concurrency workout; run with -race.
+// TestConcurrentSubmitScoreReset runs the shared hammer, which adds global
+// queries to the existing concurrency workout; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
 	m := beta.New(beta.WithPersonalized(true))
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Ratings: map[core.Facet]float64{core.FacetOverall: 1},
@@ -32,6 +31,6 @@ func TestConcurrentSubmitScoreReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := m.Score(core.Query{Subject: core.EntityID(core.NewServiceID(0)), Facet: core.FacetOverall}); !ok {
-		t.Fatal("no score after post-reset submit")
+		t.Fatal("no score after post-hammer submit")
 	}
 }

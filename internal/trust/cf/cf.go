@@ -151,10 +151,7 @@ type Mechanism struct {
 	nbScratch []neighbor // guarded by mu
 }
 
-var (
-	_ core.Mechanism = (*Mechanism)(nil)
-	_ core.Resetter  = (*Mechanism)(nil)
-)
+var _ core.Mechanism = (*Mechanism)(nil)
 
 // New builds a collaborative-filtering mechanism.
 func New(opts ...Option) *Mechanism {
@@ -223,7 +220,7 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 // dropSimsLocked evicts every cached similarity involving c, as
 // perspective (row) or rater (column).
 //
-//lint:guarded dropSimsLocked runs with m.mu held by Submit and Reset
+//lint:guarded dropSimsLocked runs with m.mu held by Submit
 func (m *Mechanism) dropSimsLocked(c core.ConsumerID) {
 	delete(m.simCache, c)
 	for _, row := range m.simCache {
@@ -539,19 +536,4 @@ func meanOf(row map[core.EntityID]float64) float64 {
 		sum += row[id]
 	}
 	return sum / float64(len(row))
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ratings = map[core.ConsumerID]map[core.EntityID]float64{}
-	m.simCache = map[core.ConsumerID]map[core.ConsumerID]simResult{}
-	m.itemCnt = map[core.EntityID]int{}
-	m.consMemo.Invalidate()
-	m.iufMemo.Invalidate()
-	m.meanMemo.Reset()
-	m.itemMemo.Reset()
-	m.pairEpoch.Bump()
-	m.consEpoch.Bump()
 }

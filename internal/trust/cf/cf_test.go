@@ -181,11 +181,6 @@ func TestRejectsInvalidAndReset(t *testing.T) {
 	if err := m.Submit(core.Feedback{}); err == nil {
 		t.Fatal("invalid feedback accepted")
 	}
-	_ = m.Submit(fb("c", "s", 1))
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s"}); ok {
-		t.Fatal("state survived Reset")
-	}
 }
 
 func TestNameReflectsSimilarity(t *testing.T) {

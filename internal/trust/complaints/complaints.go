@@ -55,7 +55,6 @@ type Mechanism struct {
 
 var (
 	_ core.Mechanism    = (*Mechanism)(nil)
-	_ core.Resetter     = (*Mechanism)(nil)
 	_ core.CostReporter = (*Mechanism)(nil)
 )
 
@@ -218,15 +217,4 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 // network has carried.
 func (m *Mechanism) MessageCount() int64 {
 	return m.grid.Network().MessageCount()
-}
-
-// Reset implements core.Resetter. Grid contents persist (they live on the
-// network); only local interaction counts clear.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.interactions = map[core.EntityID]float64{}
-	m.localReceived = map[core.EntityID]float64{}
-	m.localFiled = map[core.ConsumerID]float64{}
-	m.lastKnown = map[core.EntityID][2]float64{}
 }

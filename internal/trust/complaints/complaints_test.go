@@ -154,9 +154,4 @@ func TestUnknownInvalidReset(t *testing.T) {
 	if err := m.Submit(core.Feedback{}); err == nil {
 		t.Fatal("invalid feedback accepted")
 	}
-	_ = m.Submit(fb("c001", "s001", 0.9))
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s001"}); ok {
-		t.Fatal("interactions survived Reset")
-	}
 }

@@ -43,11 +43,10 @@ func TestDifferential(t *testing.T) {
 
 // TestConcurrentSubmitScoreReset hammers the grid tally from many
 // goroutines, exercising Score's unlock-query-relock path against racing
-// submits and resets; run with -race.
+// submits; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
 	m := newMechanism(t)
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Ratings: map[core.Facet]float64{core.FacetOverall: 0.9},

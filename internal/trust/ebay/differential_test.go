@@ -24,7 +24,6 @@ func TestDifferential(t *testing.T) {
 func TestConcurrentSubmitScoreReset(t *testing.T) {
 	m := ebay.New()
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Ratings: map[core.Facet]float64{core.FacetOverall: 1},
@@ -33,6 +32,6 @@ func TestConcurrentSubmitScoreReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := m.Score(core.Query{Subject: core.EntityID(core.NewServiceID(0)), Facet: core.FacetOverall}); !ok {
-		t.Fatal("no score after post-reset submit")
+		t.Fatal("no score after post-hammer submit")
 	}
 }

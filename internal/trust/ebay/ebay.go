@@ -70,7 +70,6 @@ type Mechanism struct {
 var (
 	_ core.Mechanism      = (*Mechanism)(nil)
 	_ core.ProviderScorer = (*Mechanism)(nil)
-	_ core.Resetter       = (*Mechanism)(nil)
 )
 
 // New builds an eBay-style mechanism.
@@ -214,14 +213,4 @@ func (m *Mechanism) scoreOf(entries []entry) (core.TrustValue, bool) {
 	score := float64(pos) / float64(pos+neg)
 	conf := float64(total) / float64(total+5)
 	return core.TrustValue{Score: score, Confidence: conf}, true
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.history = map[core.EntityID][]entry{}
-	m.byProv = map[core.EntityID][]entry{}
-	m.counts = map[core.EntityID]tally{}
-	m.provCnt = map[core.EntityID]tally{}
 }

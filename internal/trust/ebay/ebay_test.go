@@ -173,12 +173,3 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 		t.Fatal("invalid feedback accepted")
 	}
 }
-
-func TestReset(t *testing.T) {
-	m := New()
-	_ = m.Submit(fb("c001", "s001", 1, simclock.Epoch))
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s001"}); ok {
-		t.Fatal("state survived Reset")
-	}
-}

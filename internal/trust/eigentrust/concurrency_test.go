@@ -10,11 +10,10 @@ import (
 )
 
 // TestConcurrentSubmitScoreReset hammers exact mode's kept trust vector
-// from many goroutines, including Tick and Reset; run with -race.
+// from many goroutines, including Tick; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
 	m := eigentrust.New(eigentrust.WithIterations(5))
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Ratings: map[core.Facet]float64{core.FacetOverall: 0.9},

@@ -109,7 +109,6 @@ type Mechanism struct {
 var (
 	_ core.Mechanism           = (*Mechanism)(nil)
 	_ core.Ticker              = (*Mechanism)(nil)
-	_ core.Resetter            = (*Mechanism)(nil)
 	_ core.CostReporter        = (*Mechanism)(nil)
 	_ core.ConvergenceReporter = (*Mechanism)(nil)
 )
@@ -333,14 +332,4 @@ func (m *Mechanism) MessageCount() int64 {
 		return 0
 	}
 	return m.net.MessageCount()
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.local = map[core.EntityID]map[core.EntityID]float64{}
-	m.counts = map[core.EntityID]int{}
-	m.inc = newIncState()
-	m.lastStats = core.ConvergenceStats{}
 }

@@ -106,11 +106,6 @@ func TestUnknownInvalidReset(t *testing.T) {
 	if err := m.Submit(core.Feedback{}); err == nil {
 		t.Fatal("invalid feedback accepted")
 	}
-	_ = m.Submit(fb("c001", "s001", 1))
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s001"}); ok {
-		t.Fatal("state survived Reset")
-	}
 }
 
 func TestNetworkCostCharged(t *testing.T) {

@@ -106,7 +106,7 @@ func TestIncrementalConvergenceStats(t *testing.T) {
 }
 
 // TestIncrementalHammer races the warm-start paths the same way the exact
-// mode is hammered elsewhere: Submit/Score/Tick/Reset from 8 goroutines.
+// mode is hammered elsewhere: Submit/Score/Tick from 8 goroutines.
 func TestIncrementalHammer(t *testing.T) {
 	trusttest.Hammer(t, eigentrust.New(eigentrust.WithEpsilon(1e-8)))
 }

@@ -52,7 +52,6 @@ func TestBayesDifferential(t *testing.T) {
 func TestRulesConcurrent(t *testing.T) {
 	m := newRules(t)
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Observed: qos.Observation{Values: qos.Vector{qos.ResponseTime: 150}, Success: true},
@@ -61,7 +60,7 @@ func TestRulesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := m.Score(core.Query{Subject: core.EntityID(core.NewServiceID(0)), Facet: core.FacetOverall}); !ok {
-		t.Fatal("no score after post-reset submit")
+		t.Fatal("no score after post-hammer submit")
 	}
 }
 
@@ -69,7 +68,6 @@ func TestRulesConcurrent(t *testing.T) {
 func TestBayesConcurrent(t *testing.T) {
 	m := expert.NewBayes()
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Ratings: map[core.Facet]float64{core.FacetOverall: 1, qos.Accuracy: 0.9},
@@ -78,6 +76,6 @@ func TestBayesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := m.Score(core.Query{Subject: core.EntityID(core.NewServiceID(0)), Facet: core.FacetOverall}); !ok {
-		t.Fatal("no score after post-reset submit")
+		t.Fatal("no score after post-hammer submit")
 	}
 }

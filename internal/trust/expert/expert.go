@@ -132,10 +132,7 @@ type Rules struct {
 	store *evidenceStore
 }
 
-var (
-	_ core.Mechanism = (*Rules)(nil)
-	_ core.Resetter  = (*Rules)(nil)
-)
+var _ core.Mechanism = (*Rules)(nil)
 
 // NewRules builds the engine with a validated rule base.
 func NewRules(rules []Rule) (*Rules, error) {
@@ -194,13 +191,6 @@ func (r *Rules) Score(q core.Query) (core.TrustValue, bool) {
 	return core.TrustValue{Score: num / den, Confidence: n / (n + 5)}, true
 }
 
-// Reset implements core.Resetter, clearing evidence but keeping the rules.
-func (r *Rules) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.store = newEvidenceStore()
-}
-
 // Bayes is the naive Bayes good/bad service classifier. Evidence facets are
 // discretized into low/mid/high bins; feedback with Overall > 0.5 trains
 // the "good" class. Safe for concurrent use.
@@ -212,10 +202,7 @@ type Bayes struct {
 	store      *evidenceStore
 }
 
-var (
-	_ core.Mechanism = (*Bayes)(nil)
-	_ core.Resetter  = (*Bayes)(nil)
-)
+var _ core.Mechanism = (*Bayes)(nil)
 
 // NewBayes builds the classifier.
 func NewBayes() *Bayes {
@@ -302,14 +289,4 @@ func (b *Bayes) Score(q core.Query) (core.TrustValue, bool) {
 	posterior := p1 / (p0 + p1)
 	n := b.store.calls[q.Subject]
 	return core.TrustValue{Score: posterior, Confidence: n / (n + 5)}, true
-}
-
-// Reset implements core.Resetter.
-func (b *Bayes) Reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.counts[0] = map[qos.MetricID][3]float64{}
-	b.counts[1] = map[qos.MetricID][3]float64{}
-	b.classTotal = [2]float64{}
-	b.store = newEvidenceStore()
 }

@@ -75,16 +75,13 @@ type Mechanism struct {
 	ratings map[core.EntityID][]entry
 	latest  map[core.ConsumerID]map[core.EntityID]float64
 	// Every majority and Zhang-Cohen Score reads the per-rater agreement
-	// rates over the whole store; Submit and Reset bump the epoch, and
-	// the rates recompute on the next read after one.
+	// rates over the whole store; Submit bumps the epoch, and the rates
+	// recompute on the next read after one.
 	epoch      core.Epoch
 	agreeRates core.Memo[map[core.ConsumerID]float64]
 }
 
-var (
-	_ core.Mechanism = (*Mechanism)(nil)
-	_ core.Resetter  = (*Mechanism)(nil)
-)
+var _ core.Mechanism = (*Mechanism)(nil)
 
 // New builds a defended mechanism.
 func New(s Strategy) *Mechanism {
@@ -336,13 +333,4 @@ func (m *Mechanism) privateReputation(mine, theirs map[core.EntityID]float64) (f
 		return 0.5, 0
 	}
 	return (hit + 1) / (n + 2), n
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ratings = map[core.EntityID][]entry{}
-	m.latest = map[core.ConsumerID]map[core.EntityID]float64{}
-	m.epoch.Bump()
 }

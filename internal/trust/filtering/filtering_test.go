@@ -158,9 +158,4 @@ func TestUnknownInvalidReset(t *testing.T) {
 	if err := m.Submit(core.Feedback{}); err == nil {
 		t.Fatal("invalid feedback accepted")
 	}
-	_ = m.Submit(fb("c1", "s001", 1))
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s001"}); ok {
-		t.Fatal("state survived Reset")
-	}
 }

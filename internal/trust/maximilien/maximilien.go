@@ -76,10 +76,7 @@ type Mechanism struct {
 	policies map[core.ConsumerID]Policy
 }
 
-var (
-	_ core.Mechanism = (*Mechanism)(nil)
-	_ core.Resetter  = (*Mechanism)(nil)
-)
+var _ core.Mechanism = (*Mechanism)(nil)
 
 // New builds the mechanism.
 func New() *Mechanism {
@@ -212,12 +209,4 @@ func sortedFacets(m map[core.Facet]float64) []core.Facet {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Reset implements core.Resetter; policies are configuration and survive.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.facets = map[core.ServiceID]map[core.Facet]*facetStat{}
-	m.calls = map[core.ServiceID]float64{}
 }

@@ -10,11 +10,10 @@ import (
 )
 
 // TestConcurrentSubmitScoreReset hammers the epoch-cached rank vector
-// from many goroutines, including Tick and Reset; run with -race.
+// from many goroutines, including Tick; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
 	m := pagerank.New(pagerank.WithIterations(5))
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Provider: core.NewProviderID(0),

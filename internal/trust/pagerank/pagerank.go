@@ -136,29 +136,21 @@ type rankState struct {
 var (
 	_ core.Mechanism = (*Mechanism)(nil)
 	_ core.Ticker    = (*Mechanism)(nil)
-	_ core.Resetter  = (*Mechanism)(nil)
 )
 
 // New builds a PageRank reputation mechanism.
-//
-//lint:guarded New constructs the mechanism; it is not shared until returned
 func New(opts ...Option) *Mechanism {
-	m := &Mechanism{iters: 30}
-	m.resetLocked()
+	m := &Mechanism{
+		iters:    30,
+		edges:    map[string]map[string]float64{},
+		nodes:    map[string]bool{},
+		isTarget: map[string]bool{},
+		counts:   map[core.EntityID]int{},
+	}
 	for _, opt := range opts {
 		opt(m)
 	}
 	return m
-}
-
-//lint:guarded resetLocked runs with m.mu held by Reset and Tick
-func (m *Mechanism) resetLocked() {
-	m.edges = map[string]map[string]float64{}
-	m.nodes = map[string]bool{}
-	m.isTarget = map[string]bool{}
-	m.counts = map[core.EntityID]int{}
-	m.rankMemo.Invalidate()
-	m.epoch.Bump()
 }
 
 // Name implements core.Mechanism.
@@ -236,11 +228,4 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	}
 	n := float64(m.counts[q.Subject])
 	return core.TrustValue{Score: score, Confidence: n / (n + 5)}, true
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.resetLocked()
 }

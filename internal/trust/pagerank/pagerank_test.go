@@ -161,15 +161,6 @@ func TestMechanismUnknown(t *testing.T) {
 	}
 }
 
-func TestMechanismReset(t *testing.T) {
-	m := New()
-	_ = m.Submit(fb("c001", "s001", 0.9))
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s001"}); ok {
-		t.Fatal("state survived Reset")
-	}
-}
-
 func TestMechanismRejectsInvalid(t *testing.T) {
 	if err := New().Submit(core.Feedback{}); err == nil {
 		t.Fatal("invalid feedback accepted")

@@ -10,11 +10,10 @@ import (
 )
 
 // TestConcurrentSubmitScoreReset hammers the PSM/credibility caches
-// from many goroutines, including Reset interleavings; run with -race.
+// from many goroutines; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
 	m := peertrust.New(peertrust.WithAlphaBeta(0.8, 0.2))
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Ratings: map[core.Facet]float64{core.FacetOverall: 0.9},

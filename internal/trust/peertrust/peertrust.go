@@ -98,7 +98,6 @@ type meanResult struct {
 
 var (
 	_ core.Mechanism    = (*Mechanism)(nil)
-	_ core.Resetter     = (*Mechanism)(nil)
 	_ core.CostReporter = (*Mechanism)(nil)
 )
 
@@ -182,7 +181,7 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 
 // dropPsmLocked evicts every cached similarity involving c.
 //
-//lint:guarded dropPsmLocked runs with m.mu held by Submit and Reset
+//lint:guarded dropPsmLocked runs with m.mu held by Submit
 func (m *Mechanism) dropPsmLocked(c core.ConsumerID) {
 	delete(m.psmCache, c)
 	for _, row := range m.psmCache {
@@ -387,18 +386,4 @@ func (m *Mechanism) Raters() []core.ConsumerID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ratings = map[core.EntityID][]rating{}
-	m.byRater = map[core.ConsumerID]map[core.EntityID]float64{}
-	m.contrib = map[core.ConsumerID]float64{}
-	m.psmCache = map[core.ConsumerID]map[core.ConsumerID]psmResult{}
-	m.meanMemo.Reset()
-	m.gcredMemo.Reset()
-	m.maxMemo.Invalidate()
-	m.subEpoch.Bump()
 }

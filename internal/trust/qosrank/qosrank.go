@@ -72,8 +72,8 @@ type Mechanism struct {
 	advertised map[core.ServiceID]qos.Vector
 	prefs      map[core.ConsumerID]qos.Preferences
 	// The phase-1 matrix depends only on the collected observations:
-	// Submit and Reset bump the epoch, and it rebuilds on the next read
-	// after one. Claims and preferences are applied per query.
+	// Submit bumps the epoch, and it rebuilds on the next read after one.
+	// Claims and preferences are applied per query.
 	epoch   core.Epoch
 	popMemo core.Memo[population]
 }
@@ -85,10 +85,7 @@ type population struct {
 	norm  *qos.Normalizer
 }
 
-var (
-	_ core.Mechanism = (*Mechanism)(nil)
-	_ core.Resetter  = (*Mechanism)(nil)
-)
+var _ core.Mechanism = (*Mechanism)(nil)
 
 // New builds the mechanism.
 func New(opts ...Option) *Mechanism {
@@ -241,13 +238,4 @@ func (m *Mechanism) Compliance(id core.ServiceID) (float64, bool) {
 		return 0, false
 	}
 	return m.compliance(id, st.means()), true
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.services = map[core.ServiceID]*stats{}
-	m.epoch.Bump()
-	// advertised claims and preferences are configuration, not state.
 }

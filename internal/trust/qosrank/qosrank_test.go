@@ -150,22 +150,3 @@ func TestUnknownAndInvalid(t *testing.T) {
 		t.Fatal("invalid preferences accepted")
 	}
 }
-
-func TestResetKeepsConfiguration(t *testing.T) {
-	m := New()
-	seedTwoServices(t, m)
-	m.RegisterAdvertised("s-fast", qos.Vector{qos.ResponseTime: 100})
-	_ = m.SetPreferences("c001", qos.Preferences{qos.ResponseTime: 1})
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s-fast"}); ok {
-		t.Fatal("observations survived Reset")
-	}
-	// Config remains: new observations immediately get policed.
-	for i := 0; i < 5; i++ {
-		_ = m.Submit(obsFeedback("c001", "s-fast", qos.Vector{qos.ResponseTime: 500}, true))
-	}
-	comp, ok := m.Compliance("s-fast")
-	if !ok || comp != 0 {
-		t.Fatalf("post-reset policing lost: comp=%g ok=%v", comp, ok)
-	}
-}

@@ -91,7 +91,7 @@ func TestEpinionsRateReviewDifferential(t *testing.T) {
 }
 
 // TestEpinionsConcurrentRateReview races helpfulness votes against the
-// standard Submit/Score/Reset hammer; run with -race.
+// standard Submit/Score hammer; run with -race.
 func TestEpinionsConcurrentRateReview(t *testing.T) {
 	m := resource.NewEpinions()
 	done := make(chan struct{})
@@ -114,9 +114,6 @@ func TestConcurrentSubmitScoreReset(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			trusttest.Hammer(t, m)
-			if r, ok := m.(core.Resetter); ok {
-				r.Reset()
-			}
 			if err := m.Submit(core.Feedback{
 				Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 				Ratings: map[core.Facet]float64{core.FacetOverall: 0.9},

@@ -39,10 +39,7 @@ type scoreResult struct {
 	ok bool
 }
 
-var (
-	_ core.Mechanism = (*Amazon)(nil)
-	_ core.Resetter  = (*Amazon)(nil)
-)
+var _ core.Mechanism = (*Amazon)(nil)
 
 // AmazonOption configures Amazon.
 type AmazonOption func(*Amazon)
@@ -109,17 +106,6 @@ func (a *Amazon) scoreLocked(subject core.EntityID) scoreResult {
 	return scoreResult{core.TrustValue{Score: score, Confidence: n / (n + a.priorWeight)}, true}
 }
 
-// Reset implements core.Resetter.
-func (a *Amazon) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sum = map[core.EntityID]float64{}
-	a.n = map[core.EntityID]float64{}
-	a.gSum, a.gN = 0, 0
-	a.memo.Reset()
-	a.epoch.Bump()
-}
-
 // Epinions weights each rating by its author's helpfulness reputation,
 // which other members build by rating reviews. Safe for concurrent use.
 type Epinions struct {
@@ -141,10 +127,7 @@ type review struct {
 	value    float64
 }
 
-var (
-	_ core.Mechanism = (*Epinions)(nil)
-	_ core.Resetter  = (*Epinions)(nil)
-)
+var _ core.Mechanism = (*Epinions)(nil)
 
 // NewEpinions builds the mechanism.
 func NewEpinions() *Epinions {
@@ -214,15 +197,4 @@ func (e *Epinions) scoreLocked(subject core.EntityID) scoreResult {
 	}
 	n := float64(len(rs))
 	return scoreResult{core.TrustValue{Score: num / den, Confidence: n / (n + 5)}, true}
-}
-
-// Reset implements core.Resetter.
-func (e *Epinions) Reset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.ratings = map[core.EntityID][]review{}
-	e.helpful = map[core.ConsumerID]float64{}
-	e.votes = map[core.ConsumerID]float64{}
-	e.memo.Reset()
-	e.voteEpoch.Bump()
 }

@@ -59,15 +59,6 @@ func TestAmazonRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestAmazonReset(t *testing.T) {
-	a := NewAmazon()
-	_ = a.Submit(fb("c001", "s001", 1))
-	a.Reset()
-	if _, ok := a.Score(core.Query{Subject: "s001"}); ok {
-		t.Fatal("state survived Reset")
-	}
-}
-
 func TestEpinionsHelpfulReviewersWeighMore(t *testing.T) {
 	e := NewEpinions()
 	// c-good (consistently helpful) says the service is great; c-bad
@@ -99,11 +90,6 @@ func TestEpinionsUnknownAndReset(t *testing.T) {
 	e := NewEpinions()
 	if _, ok := e.Score(core.Query{Subject: "s-x"}); ok {
 		t.Fatal("unknown subject known")
-	}
-	_ = e.Submit(fb("c001", "s001", 1))
-	e.Reset()
-	if _, ok := e.Score(core.Query{Subject: "s001"}); ok {
-		t.Fatal("state survived Reset")
 	}
 }
 

@@ -10,11 +10,10 @@ import (
 )
 
 // TestConcurrentSubmitScoreReset hammers the cached Histos walk from
-// many goroutines, including Reset interleavings; run with -race.
+// many goroutines; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
 	m := sporas.New(sporas.WithHistos(true))
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Ratings: map[core.Facet]float64{core.FacetOverall: 0.9},

@@ -96,10 +96,7 @@ type Mechanism struct {
 	agrCache map[core.ConsumerID]map[core.ConsumerID]agrResult // guarded by mu
 }
 
-var (
-	_ core.Mechanism = (*Mechanism)(nil)
-	_ core.Resetter  = (*Mechanism)(nil)
-)
+var _ core.Mechanism = (*Mechanism)(nil)
 
 // New builds a Sporas mechanism.
 func New(opts ...Option) *Mechanism {
@@ -169,7 +166,7 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 
 // dropAgrLocked evicts every cached agreement involving c.
 //
-//lint:guarded dropAgrLocked runs with m.mu held by Submit and Reset
+//lint:guarded dropAgrLocked runs with m.mu held by Submit
 func (m *Mechanism) dropAgrLocked(c core.ConsumerID) {
 	delete(m.agrCache, c)
 	for _, row := range m.agrCache {
@@ -315,15 +312,4 @@ func (m *Mechanism) agreement(a, b core.ConsumerID) (float64, bool) {
 		return 0, false
 	}
 	return 1 - sum/float64(n), true
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.state = map[core.EntityID]*sporasState{}
-	m.latest = map[core.ConsumerID]map[core.EntityID]float64{}
-	m.agrCache = map[core.ConsumerID]map[core.ConsumerID]agrResult{}
-	m.ratersMemo.Invalidate()
-	m.ratersEpoch.Bump()
 }

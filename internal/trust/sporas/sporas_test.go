@@ -182,15 +182,6 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	m := New(WithHistos(true))
-	_ = m.Submit(fb("c001", "s001", 1, simclock.Epoch))
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s001"}); ok {
-		t.Fatal("state survived Reset")
-	}
-}
-
 // Property: reputation stays in [0,1] under arbitrary rating sequences.
 func TestReputationBoundsProperty(t *testing.T) {
 	f := func(vals []float64) bool {

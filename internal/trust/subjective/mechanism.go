@@ -31,10 +31,7 @@ type Mechanism struct {
 	direct map[core.ConsumerID]map[key]evidence
 }
 
-var (
-	_ core.Mechanism = (*Mechanism)(nil)
-	_ core.Resetter  = (*Mechanism)(nil)
-)
+var _ core.Mechanism = (*Mechanism)(nil)
 
 // NewMechanism builds an empty evidence store.
 func NewMechanism() *Mechanism {
@@ -166,11 +163,4 @@ func absf(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.direct = map[core.ConsumerID]map[key]evidence{}
 }

@@ -140,10 +140,10 @@ func checkpointEps(t *testing.T, warm core.Mechanism, coldBuild func() core.Mech
 }
 
 // Hammer drives a mechanism from 8 goroutines interleaving Submit,
-// personalized and global Score, plus Reset and Tick where implemented —
-// the -race workout every epoch-cached mechanism gets, mirroring
-// trust/beta's concurrency test. Assertions about post-hammer state stay
-// with the caller (Reset races make values unpredictable here).
+// personalized and global Score, plus Tick where implemented — the -race
+// workout every epoch-cached mechanism gets, mirroring trust/beta's
+// concurrency test. Assertions about post-hammer state stay with the
+// caller; the interleaving makes exact values unpredictable here.
 func Hammer(t *testing.T, m core.Mechanism) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -170,11 +170,6 @@ func Hammer(t *testing.T, m core.Mechanism) {
 					Subject: core.EntityID(core.NewServiceID(i % 7)),
 					Facet:   core.FacetOverall,
 				})
-				if w == 0 && i%60 == 59 {
-					if r, ok := m.(core.Resetter); ok {
-						r.Reset()
-					}
-				}
 				if w == 1 && i%40 == 39 {
 					if tk, ok := m.(core.Ticker); ok {
 						tk.Tick(simclock.Epoch.Add(time.Duration(i) * time.Minute))

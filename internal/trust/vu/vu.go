@@ -67,7 +67,6 @@ type Mechanism struct {
 
 var (
 	_ core.Mechanism    = (*Mechanism)(nil)
-	_ core.Resetter     = (*Mechanism)(nil)
 	_ core.CostReporter = (*Mechanism)(nil)
 )
 
@@ -255,17 +254,4 @@ func (m *Mechanism) Credibility(r core.ConsumerID) float64 {
 // MessageCount implements core.CostReporter.
 func (m *Mechanism) MessageCount() int64 {
 	return m.grid.Network().MessageCount()
-}
-
-// Reset implements core.Resetter: local bookkeeping clears; shard contents
-// live on the network and persist.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.interactions = map[core.EntityID]float64{}
-	m.credHit = map[core.ConsumerID]float64{}
-	m.credMiss = map[core.ConsumerID]float64{}
-	m.localSum = map[core.EntityID]float64{}
-	m.localN = map[core.EntityID]float64{}
-	m.lastKnown = map[core.EntityID]core.TrustValue{}
 }

@@ -170,9 +170,4 @@ func TestUnknownInvalidReset(t *testing.T) {
 	if err := m.Submit(core.Feedback{}); err == nil {
 		t.Fatal("invalid feedback accepted")
 	}
-	_ = m.Submit(fbMeasured("c001", "s001", 0.9, 100))
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s001"}); ok {
-		t.Fatal("interaction bookkeeping survived Reset")
-	}
 }

@@ -84,7 +84,6 @@ type pollKey struct {
 
 var (
 	_ core.Mechanism    = (*Mechanism)(nil)
-	_ core.Resetter     = (*Mechanism)(nil)
 	_ core.CostReporter = (*Mechanism)(nil)
 )
 
@@ -267,23 +266,4 @@ func (m *Mechanism) CredibilityOf(poller core.ConsumerID, voter core.ConsumerID)
 // MessageCount implements core.CostReporter.
 func (m *Mechanism) MessageCount() int64 {
 	return m.overlay.Network().MessageCount()
-}
-
-// Reset implements core.Resetter.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, le := range m.local {
-		le.mu.Lock()
-		le.good = map[core.EntityID]float64{}
-		le.bad = map[core.EntityID]float64{}
-		le.mu.Unlock()
-	}
-	for _, cr := range m.cred {
-		cr.hit = map[p2p.NodeID]float64{}
-		cr.miss = map[p2p.NodeID]float64{}
-	}
-	m.counts = map[core.EntityID]float64{}
-	m.lastPoll = map[pollKey][]vote{}
-	m.tallyMemo.Reset()
 }

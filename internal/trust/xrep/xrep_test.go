@@ -112,11 +112,6 @@ func TestUnknownInvalidReset(t *testing.T) {
 	if err := m.Submit(core.Feedback{}); err == nil {
 		t.Fatal("invalid feedback accepted")
 	}
-	_ = m.Submit(fb(cs[0], "s001", 1))
-	m.Reset()
-	if _, ok := m.Score(core.Query{Subject: "s001"}); ok {
-		t.Fatal("state survived Reset")
-	}
 }
 
 func TestTTLLimitsPollReach(t *testing.T) {

@@ -61,7 +61,6 @@ func TestDifferential(t *testing.T) {
 func TestConcurrentSubmitScoreReset(t *testing.T) {
 	m := newMechanism(yusingh.WithAdaptiveReferrals(4))
 	trusttest.Hammer(t, m)
-	m.Reset()
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),
 		Ratings: map[core.Facet]float64{core.FacetOverall: 0.9},

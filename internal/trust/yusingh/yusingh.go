@@ -174,7 +174,6 @@ type Mechanism struct {
 
 var (
 	_ core.Mechanism    = (*Mechanism)(nil)
-	_ core.Resetter     = (*Mechanism)(nil)
 	_ core.CostReporter = (*Mechanism)(nil)
 )
 
@@ -392,20 +391,4 @@ func (m *Mechanism) agentIDsLocked() []core.ConsumerID {
 // MessageCount implements core.CostReporter.
 func (m *Mechanism) MessageCount() int64 {
 	return m.overlay.Network().MessageCount()
-}
-
-// Reset implements core.Resetter: agents forget their experience but stay
-// joined to the overlay.
-func (m *Mechanism) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, ag := range m.agents {
-		ag.mu.Lock()
-		ag.pos = map[core.EntityID]float64{}
-		ag.neg = map[core.EntityID]float64{}
-		ag.mu.Unlock()
-	}
-	m.counts = map[core.EntityID]float64{}
-	m.shortcuts = map[core.ConsumerID][]p2p.NodeID{}
-	m.fuseMemo.Reset()
 }
