@@ -71,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/soa -run FuzzDecodeEnvelope -fuzz FuzzDecodeEnvelope -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/soa -run FuzzUnmarshalWSDL -fuzz FuzzUnmarshalWSDL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trust/eigentrust -run FuzzWarmStartResidual -fuzz FuzzWarmStartResidual -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trust/cf -run FuzzMatchesReference -fuzz FuzzMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run FuzzScenarioParse -fuzz FuzzScenarioParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/registry -run FuzzWALRecover -fuzz FuzzWALRecover -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/registry -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)

@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 
 	"wstrust/internal/qos"
 )
@@ -113,14 +114,30 @@ func (e *Engine) Rank(consumer ConsumerID, prefs qos.Preferences, cands []Candid
 		pop = append(pop, c.Advertised)
 	}
 	norm := qos.NewNormalizer(pop)
-	return e.rankInto(make([]Ranked, 0, len(cands)), consumer, prefs, cands, norm, nil)
+	return e.rankInto(&rankBuf{}, consumer, prefs, cands, norm, nil)
 }
 
-// rankInto scores cands into dst (reusing its capacity) and sorts it
-// best-first. normAdv, when non-nil, holds each candidate's pre-normalized
+// rankBuf holds rankInto's buffers, reused across calls by a RankSession:
+// the ranking it returns and the sort keys.
+type rankBuf struct {
+	rows []Ranked
+	keys []rankKey
+}
+
+// rankKey is one row's sort key and the row's place before the sort.
+type rankKey struct {
+	score float64
+	svc   ServiceID
+	row   int
+}
+
+// rankInto scores cands and returns them best-first in b.rows, reusing
+// b's capacity. normAdv, when non-nil, holds each candidate's pre-normalized
 // advertised vector; otherwise vectors are normalized per call via norm.
-func (e *Engine) rankInto(dst []Ranked, consumer ConsumerID, prefs qos.Preferences, cands []Candidate, norm *qos.Normalizer, normAdv []qos.Vector) []Ranked {
+func (e *Engine) rankInto(b *rankBuf, consumer ConsumerID, prefs qos.Preferences, cands []Candidate, norm *qos.Normalizer, normAdv []qos.Vector) []Ranked {
 	scorer := prefs.Scorer()
+	rows := slices.Grow(b.rows[:0], len(cands))
+	keys := slices.Grow(b.keys[:0], len(cands))
 	for i, c := range cands {
 		tv, known := e.mech.Score(Query{
 			Perspective: consumer,
@@ -155,15 +172,36 @@ func (e *Engine) rankInto(dst []Ranked, consumer ConsumerID, prefs qos.Preferenc
 		}
 		util := scorer.Utility(nv)
 		score := e.combine(tv, util, known)
-		dst = append(dst, Ranked{Candidate: c, Trust: tv.Clamp(), Utility: util, Score: score})
+		rows = append(rows, Ranked{Candidate: c, Trust: tv.Clamp(), Utility: util, Score: score})
+		keys = append(keys, rankKey{score, c.Service, i})
 	}
-	sort.Slice(dst, func(i, j int) bool {
-		if dst[i].Score != dst[j].Score {
-			return dst[i].Score > dst[j].Score
+	// Score descending, then service ID: a total order, since the UDDI keys
+	// candidates by service. Sorting the small keys and then moving each
+	// row once, cycle by cycle, beats sorting the 88-byte rows, which
+	// slices.SortFunc passes by value.
+	slices.SortFunc(keys, func(x, y rankKey) int {
+		switch {
+		case x.score > y.score:
+			return -1
+		case x.score < y.score:
+			return 1
 		}
-		return dst[i].Service < dst[j].Service
+		return strings.Compare(string(x.svc), string(y.svc))
 	})
-	return dst
+	for i := range keys {
+		if keys[i].row == i {
+			continue // never moved, or already placed
+		}
+		r, j := rows[i], i
+		for keys[j].row != i {
+			next := keys[j].row
+			rows[j], keys[j].row = rows[next], j
+			j = next
+		}
+		rows[j], keys[j].row = r, j
+	}
+	b.rows, b.keys = rows, keys
+	return rows
 }
 
 // combine merges trust and advertised utility. Trust dominates as evidence
@@ -217,7 +255,7 @@ type RankSession struct {
 	cands   []Candidate
 	norm    *qos.Normalizer
 	normAdv []qos.Vector
-	scratch []Ranked
+	buf     rankBuf
 }
 
 // NewRankSession prepares a session over cands (which may be nil or empty;
@@ -258,13 +296,12 @@ func (s *RankSession) Candidates() []Candidate { return s.cands }
 // results are bit-identical to Engine.Rank on the same set. The returned
 // slice is reused by the next Rank/Select call.
 //
-//lint:hotpath the selection-loop inner call; rankInto reuses s.scratch, so steady-state allocations are zero.
+//lint:hotpath the selection-loop inner call; rankInto reuses s.buf, so steady-state allocations are zero.
 func (s *RankSession) Rank(consumer ConsumerID, prefs qos.Preferences) []Ranked {
 	if len(s.cands) == 0 {
 		return nil
 	}
-	s.scratch = s.engine.rankInto(s.scratch[:0], consumer, prefs, s.cands, s.norm, s.normAdv)
-	return s.scratch
+	return s.engine.rankInto(&s.buf, consumer, prefs, s.cands, s.norm, s.normAdv)
 }
 
 // Select ranks the prepared candidates and applies the engine's policy,

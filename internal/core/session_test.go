@@ -112,3 +112,35 @@ func TestRankSessionBufferAliasing(t *testing.T) {
 		t.Fatal("session should reuse its ranking buffer across calls")
 	}
 }
+
+// TestRankSortsByScoreThenService checks that a ranking is the candidates
+// in their one order by score descending, then service ID, on shuffled
+// candidates with many tied scores, across calls that reuse the buffers.
+func TestRankSortsByScoreThenService(t *testing.T) {
+	mech, cands := sessionFixture(40)
+	simclock.NewRand(5).Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+	provider := map[ServiceID]ProviderID{}
+	for _, c := range cands {
+		provider[c.Service] = c.Provider
+	}
+	s := NewEngine(mech, simclock.NewRand(1)).NewRankSession(cands)
+	for _, prefs := range []qos.Preferences{nil, {qos.Cost: 1}, nil} {
+		ranked := s.Rank("c001", prefs)
+		seen := map[ServiceID]bool{}
+		for i, r := range ranked {
+			if seen[r.Service] || provider[r.Service] != r.Provider {
+				t.Fatalf("rank %d: row %+v repeated or mixed with another candidate's", i, r)
+			}
+			seen[r.Service] = true
+			if i > 0 {
+				prev := ranked[i-1]
+				if prev.Score < r.Score || (prev.Score == r.Score && prev.Service > r.Service) {
+					t.Fatalf("rank %d out of order: %s %v before %s %v", i, prev.Service, prev.Score, r.Service, r.Score)
+				}
+			}
+		}
+		if len(seen) != len(cands) {
+			t.Fatalf("ranked %d distinct candidates of %d", len(seen), len(cands))
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"sync/atomic"
 	"time"
 
 	"wstrust/internal/simclock"
@@ -90,8 +89,6 @@ type Retrier struct {
 	attempts int
 	sched    []time.Duration
 	clock    *simclock.Virtual
-	retries  atomic.Int64
-	waited   atomic.Int64 // nanoseconds of virtual backoff
 }
 
 // Bind compiles the policy's schedule for seed and attaches it to clock.
@@ -118,16 +115,7 @@ func (r *Retrier) Backoff(attempt int) {
 	if i >= len(r.sched) {
 		i = len(r.sched) - 1
 	}
-	d := r.sched[i]
 	if r.clock != nil {
-		r.clock.Advance(d)
+		r.clock.Advance(r.sched[i])
 	}
-	r.retries.Add(1)
-	r.waited.Add(int64(d))
 }
-
-// Retries reports how many backoffs have fired.
-func (r *Retrier) Retries() int64 { return r.retries.Load() }
-
-// Waited reports the total virtual time spent backing off.
-func (r *Retrier) Waited() time.Duration { return time.Duration(r.waited.Load()) }

@@ -9,7 +9,7 @@ package qos
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -252,6 +252,6 @@ func RenderTaxonomy() string {
 func SortIDs(ids []MetricID) []MetricID {
 	out := make([]MetricID, len(ids))
 	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

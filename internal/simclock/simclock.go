@@ -57,16 +57,6 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.now = v.now.Add(d)
 }
 
-// Set jumps the clock to t. Set panics if t precedes the current instant.
-func (v *Virtual) Set(t time.Time) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if t.Before(v.now) {
-		panic(fmt.Sprintf("simclock: Set to %v before current %v", t, v.now))
-	}
-	v.now = t
-}
-
 // Fixed returns a Clock frozen at t, convenient in unit tests.
 func Fixed(t time.Time) Clock { return fixedClock(t) }
 

@@ -34,17 +34,6 @@ func TestVirtualAdvanceNegativePanics(t *testing.T) {
 	NewVirtual().Advance(-time.Second)
 }
 
-func TestVirtualSetBackwardsPanics(t *testing.T) {
-	v := NewVirtual()
-	v.Advance(time.Hour)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Set to the past did not panic")
-		}
-	}()
-	v.Set(Epoch)
-}
-
 func TestFixed(t *testing.T) {
 	at := Epoch.Add(42 * time.Minute)
 	c := Fixed(at)

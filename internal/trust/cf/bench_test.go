@@ -10,8 +10,8 @@ import (
 // benchMatrix fills a mechanism with an experiment-scale rating matrix
 // (60 consumers × 30 services, ~40% dense) — the shape of the C4/F4
 // markets where cf is the suite's critical path.
-func benchMatrix(b *testing.B, m *Mechanism) {
-	b.Helper()
+func benchMatrix(tb testing.TB, m *Mechanism) {
+	tb.Helper()
 	rng := simclock.NewRand(1)
 	for c := 0; c < 60; c++ {
 		for s := 0; s < 30; s++ {
@@ -21,7 +21,7 @@ func benchMatrix(b *testing.B, m *Mechanism) {
 					Ratings: map[core.Facet]float64{core.FacetOverall: rng.Float64()},
 					At:      simclock.Epoch,
 				}); err != nil {
-					b.Fatal(err)
+					tb.Fatal(err)
 				}
 			}
 		}
@@ -30,27 +30,61 @@ func benchMatrix(b *testing.B, m *Mechanism) {
 
 // steadyQuery returns a personalized query for a service the perspective
 // has NOT rated, so Score runs the full neighborhood prediction rather
-// than the direct-experience short-circuit.
-func steadyQuery(b *testing.B, m *Mechanism) core.Query {
-	b.Helper()
-	perspective := core.NewConsumerID(1)
-	m.mu.Lock()
-	row := m.ratings[perspective]
-	m.mu.Unlock()
+// than the direct-experience short-circuit (whose confidence, 0.9, no
+// prediction from at most 10 neighbors reaches).
+func steadyQuery(tb testing.TB, m *Mechanism) core.Query {
+	tb.Helper()
 	for s := 0; s < 30; s++ {
-		id := core.NewServiceID(s)
-		if _, rated := row[core.EntityID(id)]; !rated {
-			return core.Query{Perspective: perspective, Subject: core.EntityID(id), Facet: core.FacetOverall}
+		q := core.Query{Perspective: core.NewConsumerID(1), Subject: core.NewServiceID(s), Facet: core.FacetOverall}
+		if tv, ok := m.Score(q); ok && tv.Confidence != 0.9 {
+			return q
 		}
 	}
-	b.Fatal("benchmark matrix left no unrated service for the perspective")
+	tb.Fatal("benchmark matrix left no unrated service for the perspective")
 	return core.Query{}
+}
+
+// TestScoreAllocs holds the steady paths to zero allocations: a
+// personalized Score with every slot warm, a global item-mean Score, and a
+// re-rating Submit (alternating two prebuilt values, so every call
+// changes the cell).
+func TestScoreAllocs(t *testing.T) {
+	m := New()
+	benchMatrix(t, m)
+	personal := steadyQuery(t, m)
+	global := core.Query{Subject: core.NewServiceID(3), Facet: core.FacetOverall}
+	var rerate [2]core.Feedback
+	for i := range rerate {
+		rerate[i] = core.Feedback{
+			Consumer: core.NewConsumerID(59), Service: core.NewServiceID(0),
+			Ratings: map[core.Facet]float64{core.FacetOverall: 0.25 * float64(i+1)},
+			At:      simclock.Epoch,
+		}
+	}
+	n := 0
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"personalized Score", func() { m.Score(personal) }},
+		{"item-mean Score", func() { m.Score(global) }},
+		{"re-rating Submit", func() {
+			if err := m.Submit(rerate[n%2]); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, allocs)
+		}
+	}
 }
 
 // benchScore measures the steady-state (no-new-ratings) prediction path:
 // the matrix is frozen and the same unconsumed service is predicted
 // repeatedly, as selection loops do when ranking a quiet market. This is
-// the headline number for the epoch cache.
+// the headline number for the stamped similarity and mean slots.
 func benchScore(b *testing.B, sim Similarity) {
 	b.Helper()
 	m := New(WithSimilarity(sim))

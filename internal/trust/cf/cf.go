@@ -10,22 +10,26 @@
 // wins) and predicts the rating a perspective consumer would give an
 // unconsumed service from the ratings of similar consumers.
 //
-// Derived state — per-consumer means, item means, IUF weights, the
-// sorted consumer list, and pairwise similarities — is memoized under
-// the core epoch-cache pattern and invalidated only as finely as a
-// Submit requires: a new rating from consumer c about service s drops
-// c's mean, s's item mean, and similarities involving c, while every
-// other cached value survives. Cached values are produced by the same
-// code paths (same sorted iteration, same float summation order) as the
-// recompute-from-scratch versions, so scores are byte-identical — the
-// package's differential test enforces this.
+// Submit gives each consumer and service a dense index on first sight and
+// keeps every rating twice: in the consumer's row, sorted by service ID,
+// and in the service's column, sorted by consumer ID (a re-rating
+// overwrites both in place). A similarity is a merge-join of two rows;
+// Score walks only the subject's column. Consumer and item means, IUF
+// weights and pairwise similarities are cached in slots stamped with the
+// versions they were computed at — the rows' and column's versions and
+// the IUF generation — so a Submit invalidates by bumping counters. Every
+// sum runs in ID order (items inside a similarity and a consumer mean,
+// raters in an item mean and the neighbor walk), the order a recompute
+// from scratch over sorted IDs uses, so scores are bit-identical to it:
+// reference_test.go keeps that recompute as a map-based reference and
+// compares bits.
 package cf
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"wstrust/internal/core"
@@ -104,18 +108,53 @@ func WithMinOverlap(n int) Option {
 	}
 }
 
-// simResult caches one similarity(a,b) outcome, including the
-// below-minimum-overlap rejection.
-type simResult struct {
-	s  float64
-	ok bool
+// cell is one rating in a row or a column. key and idx name the other
+// side — the service in a consumer's row, the consumer in a service's
+// column — and key orders the slice.
+type cell struct {
+	key core.EntityID
+	idx int
+	v   float64
 }
 
-// itemMeanResult caches one itemMean outcome, including the no-ratings miss.
-type itemMeanResult struct {
-	tv core.TrustValue
-	ok bool
+func byKey(c cell, key core.EntityID) int { return strings.Compare(string(c.key), string(key)) }
+
+// consumer is one interned consumer. ver counts the Submits that changed
+// row; it is at least 1, so a zero stamp never matches. mean is valid
+// while meanVer == ver.
+type consumer struct {
+	row     []cell // by service ID
+	ver     uint64
+	mean    float64
+	meanVer uint64
+	// sims[b] is the raw (pre-amplification) similarity of this consumer,
+	// as perspective, to consumer b.
+	sims []simSlot
 }
+
+// service is one interned service. ver counts the Submits that changed
+// col; mean is valid while meanVer == ver, iuf while iufGen is the
+// mechanism's IUF generation.
+type service struct {
+	col     []cell // by consumer ID
+	ver     uint64
+	mean    core.TrustValue
+	meanVer uint64
+	iuf     float64
+	iufGen  uint64
+}
+
+// simSlot holds one similarity outcome, including the below-minimum
+// rejection, and the perspective's version, the rater's version and the
+// IUF generation it was computed at.
+type simSlot struct {
+	s  float64
+	ok bool
+	at [3]uint64
+}
+
+// pair is one item of a similarity: both ratings and the item's weight.
+type pair struct{ x, y, w float64 }
 
 // Mechanism is the collaborative-filtering engine. Safe for concurrent use.
 type Mechanism struct {
@@ -126,28 +165,16 @@ type Mechanism struct {
 	minOverlap  int
 	defaultVote *float64
 
-	mu      sync.Mutex
-	ratings map[core.ConsumerID]map[core.EntityID]float64 // guarded by mu
-
-	// itemCnt is the per-item rater count, equal to the IUF rating count,
-	// maintained at Submit time: it is integer-exact and lets itemWeights
-	// rebuild from O(items) instead of scanning the whole matrix.
-	itemCnt map[core.EntityID]int // guarded by mu
-
-	// Epoch caches over the rating matrix. pairEpoch advances whenever a
-	// new (consumer, item) cell appears — the only event that changes
-	// rating counts, hence IUF weights; consEpoch advances only when a
-	// new consumer appears.
-	pairEpoch core.Epoch                                    // guarded by mu
-	consEpoch core.Epoch                                    // guarded by mu
-	consMemo  core.Memo[[]core.ConsumerID]                  // guarded by mu
-	iufMemo   core.Memo[map[core.EntityID]float64]          // guarded by mu
-	meanMemo  core.KeyedMemo[core.ConsumerID, float64]      // guarded by mu
-	itemMemo  core.KeyedMemo[core.EntityID, itemMeanResult] // guarded by mu
-	// simCache[a][b] stores the raw (pre-amplification) similarity of
-	// perspective a to rater b. A submit from c deletes row c and column c.
-	simCache map[core.ConsumerID]map[core.ConsumerID]simResult // guarded by mu
-	// nbScratch is Score's reusable neighbor buffer.
+	mu     sync.Mutex
+	conIdx map[core.ConsumerID]int // guarded by mu
+	svcIdx map[core.EntityID]int   // guarded by mu
+	cons   []consumer              // guarded by mu
+	svcs   []service               // guarded by mu
+	// gen is the IUF generation. With IUF on, each new cell bumps it, since
+	// a new cell changes a rater count and maybe the consumer count.
+	gen uint64 // guarded by mu
+	// pairs and nbScratch are similarity's and Score's reused buffers.
+	pairs     []pair     // guarded by mu
 	nbScratch []neighbor // guarded by mu
 }
 
@@ -160,9 +187,8 @@ func New(opts ...Option) *Mechanism {
 		k:          10,
 		rho:        1,
 		minOverlap: 2,
-		ratings:    map[core.ConsumerID]map[core.EntityID]float64{},
-		simCache:   map[core.ConsumerID]map[core.ConsumerID]simResult{},
-		itemCnt:    map[core.EntityID]int{},
+		conIdx:     map[core.ConsumerID]int{},
+		svcIdx:     map[core.EntityID]int{},
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -184,129 +210,102 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 	if err := fb.Validate(); err != nil {
 		return fmt.Errorf("cf: %w", err)
 	}
+	v := fb.Overall()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	row, known := m.ratings[fb.Consumer]
-	if !known {
-		row = map[core.EntityID]float64{}
-		m.ratings[fb.Consumer] = row
+	ci, ok := m.conIdx[fb.Consumer]
+	if !ok {
+		ci = len(m.cons)
+		m.conIdx[fb.Consumer] = ci
+		m.cons = append(m.cons, consumer{})
 	}
-	v := fb.Overall()
-	old, existed := row[fb.Service]
-	if existed && old == v {
+	si, ok := m.svcIdx[fb.Service]
+	if !ok {
+		si = len(m.svcs)
+		m.svcIdx[fb.Service] = si
+		m.svcs = append(m.svcs, service{})
+	}
+	c, s := &m.cons[ci], &m.svcs[si]
+	r, existed := slices.BinarySearchFunc(c.row, fb.Service, byKey)
+	if existed && c.row[r].v == v {
 		return nil // identical overwrite: no derived state moves
 	}
-	row[fb.Service] = v
-
-	// Invalidate exactly what this cell can influence.
-	m.meanMemo.Drop(fb.Consumer)
-	m.itemMemo.Drop(fb.Service)
-	m.dropSimsLocked(fb.Consumer)
-	if !existed {
-		m.itemCnt[fb.Service]++
-		m.pairEpoch.Bump()
+	k, _ := slices.BinarySearchFunc(s.col, fb.Consumer, byKey)
+	if existed {
+		c.row[r].v, s.col[k].v = v, v
+	} else {
+		c.row = slices.Insert(c.row, r, cell{fb.Service, si, v})
+		s.col = slices.Insert(s.col, k, cell{fb.Consumer, ci, v})
 		if m.iuf {
-			// Rating counts shifted, so IUF weights — and every
-			// IUF-weighted similarity — are stale.
-			m.simCache = map[core.ConsumerID]map[core.ConsumerID]simResult{}
+			m.gen++
 		}
 	}
-	if !known {
-		m.consEpoch.Bump()
-	}
+	c.ver++
+	s.ver++
 	return nil
 }
 
-// dropSimsLocked evicts every cached similarity involving c, as
-// perspective (row) or rater (column).
+// iufWeight is Breese's inverse user frequency log(n/n_i) of service si,
+// cached for the current IUF generation (at least 1 once a cell exists).
 //
-//lint:guarded dropSimsLocked runs with m.mu held by Submit
-func (m *Mechanism) dropSimsLocked(c core.ConsumerID) {
-	delete(m.simCache, c)
-	for _, row := range m.simCache {
-		delete(row, c)
-	}
-}
-
-// itemWeights computes inverse-user-frequency weights log(n/n_i).
-// itemWeights is the recompute path behind itemWeightsCached.
-//
-//lint:guarded itemWeights runs with m.mu held by its callers
-func (m *Mechanism) itemWeights() map[core.EntityID]float64 {
-	if !m.iuf {
-		return nil
-	}
-	// Rating counts are maintained incrementally at Submit time (they are
-	// integers, so the incremental roster is bit-exact), turning this
-	// recompute from a full matrix scan into O(items).
-	n := float64(len(m.ratings))
-	out := make(map[core.EntityID]float64, len(m.itemCnt))
-	for item, c := range m.itemCnt {
-		if c > 0 {
-			w := math.Log(n / float64(c))
-			if w <= 0 {
-				w = 1e-9 // rated by everyone: nearly no signal, never negative
-			}
-			out[item] = w
+//lint:guarded iufWeight runs with m.mu held by similarity's callers
+func (m *Mechanism) iufWeight(si int) float64 {
+	s := &m.svcs[si]
+	if s.iufGen != m.gen {
+		w := math.Log(float64(len(m.cons)) / float64(len(s.col)))
+		if w <= 0 {
+			w = 1e-9 // rated by everyone: nearly no signal, never negative
 		}
+		s.iuf, s.iufGen = w, m.gen
 	}
-	return out
+	return s.iuf
 }
 
-// itemWeightsCached memoizes itemWeights until a new matrix cell appears.
+// similarity computes sim(a,b) over co-rated items, or over the union
+// under default voting. It merges the two ID-sorted rows into m.pairs, so
+// the sums run in item-ID order; ok is false when the overlap is below
+// the minimum.
 //
-//lint:guarded itemWeightsCached runs with m.mu held by Score's locked section
-func (m *Mechanism) itemWeightsCached() map[core.EntityID]float64 {
-	if !m.iuf {
-		return nil
+//lint:guarded similarity runs with m.mu held by its callers
+func (m *Mechanism) similarity(a, b []cell) (float64, bool) {
+	ps := m.pairs[:0]
+	dv := 0.0
+	if m.defaultVote != nil {
+		dv = *m.defaultVote
 	}
-	return m.iufMemo.Get(&m.pairEpoch, m.itemWeights)
-}
-
-// similarity computes sim(a,b) over co-rated items; ok is false when the
-// overlap is below the minimum.
-func (m *Mechanism) similarity(a, b map[core.EntityID]float64, iufW map[core.EntityID]float64) (float64, bool) {
-	type pair struct{ x, y, w float64 }
-	var ps []pair
-	itemSet := make(map[core.EntityID]bool, len(a)+len(b))
-	for item := range a {
-		itemSet[item] = true
+	overlap, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].idx == b[j].idx:
+			w := 1.0
+			if m.iuf {
+				w = m.iufWeight(a[i].idx)
+			}
+			ps = append(ps, pair{a[i].v, b[j].v, w})
+			overlap++
+			i++
+			j++
+		case a[i].key < b[j].key:
+			if m.defaultVote != nil {
+				ps = append(ps, pair{a[i].v, dv, 1})
+			}
+			i++
+		default:
+			if m.defaultVote != nil {
+				ps = append(ps, pair{dv, b[j].v, 1})
+			}
+			j++
+		}
 	}
 	if m.defaultVote != nil {
-		for item := range b {
-			itemSet[item] = true
+		for ; i < len(a); i++ {
+			ps = append(ps, pair{a[i].v, dv, 1})
+		}
+		for ; j < len(b); j++ {
+			ps = append(ps, pair{dv, b[j].v, 1})
 		}
 	}
-	items := make([]core.EntityID, 0, len(itemSet))
-	for item := range itemSet {
-		items = append(items, item)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	overlap := 0
-	for _, item := range items {
-		va, okA := a[item]
-		vb, okB := b[item]
-		if okA && okB {
-			overlap++
-		}
-		if m.defaultVote == nil {
-			if !okA || !okB {
-				continue
-			}
-		} else {
-			if !okA {
-				va = *m.defaultVote
-			}
-			if !okB {
-				vb = *m.defaultVote
-			}
-		}
-		w := 1.0
-		if iufW != nil && okA && okB {
-			w = iufW[item]
-		}
-		ps = append(ps, pair{va, vb, w})
-	}
+	m.pairs = ps
 	if overlap < m.minOverlap {
 		return 0, false
 	}
@@ -343,25 +342,22 @@ func (m *Mechanism) similarity(a, b map[core.EntityID]float64, iufW map[core.Ent
 	}
 }
 
-// similarityCached returns sim(a,b) through the pair cache. Raw values
-// are cached; case amplification is applied by the caller, so the cache
-// stays valid across rho settings and the stored float is exactly what
-// similarity produced.
+// simOf returns the raw similarity of perspective a to rater b from a's
+// slot, recomputing it when either row or the IUF generation has moved
+// since. Case amplification is applied by the caller.
 //
-//lint:guarded similarityCached runs with m.mu held by Score's locked section
-func (m *Mechanism) similarityCached(a, b core.ConsumerID, ra, rb map[core.EntityID]float64, iufW map[core.EntityID]float64) (float64, bool) {
-	row, ok := m.simCache[a]
-	if ok {
-		if r, hit := row[b]; hit {
-			return r.s, r.ok
-		}
-	} else {
-		row = map[core.ConsumerID]simResult{}
-		m.simCache[a] = row
+//lint:guarded simOf runs with m.mu held by its callers
+func (m *Mechanism) simOf(a, b int) (float64, bool) {
+	ca, cb := &m.cons[a], &m.cons[b]
+	if b >= len(ca.sims) {
+		ca.sims = append(ca.sims, make([]simSlot, len(m.cons)-len(ca.sims))...)
 	}
-	s, valid := m.similarity(ra, rb, iufW)
-	row[b] = simResult{s, valid}
-	return s, valid
+	sl, at := &ca.sims[b], [3]uint64{ca.ver, cb.ver, m.gen}
+	if sl.at != at {
+		sl.s, sl.ok = m.similarity(ca.row, cb.row)
+		sl.at = at
+	}
+	return sl.s, sl.ok
 }
 
 // SimilarityBetween exposes the configured similarity between two
@@ -369,19 +365,20 @@ func (m *Mechanism) similarityCached(a, b core.ConsumerID, ra, rb map[core.Entit
 func (m *Mechanism) SimilarityBetween(a, b core.ConsumerID) (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ra, ok1 := m.ratings[a]
-	rb, ok2 := m.ratings[b]
+	ia, ok1 := m.conIdx[a]
+	ib, ok2 := m.conIdx[b]
 	if !ok1 || !ok2 {
 		return 0, false
 	}
-	return m.similarityCached(a, b, ra, rb, m.itemWeightsCached())
+	return m.simOf(ia, ib)
 }
 
+// neighbor is one of the k raters of the subject most similar to the
+// perspective.
 type neighbor struct {
-	id   core.ConsumerID
-	sim  float64
-	mean float64
-	val  float64
+	idx int
+	sim float64
+	val float64
 }
 
 // Score implements core.Mechanism. With a perspective it predicts that
@@ -389,72 +386,61 @@ type neighbor struct {
 // answers the item's shrunken mean (the global fallback Manikrao &
 // Prabhakar use before enough personal history exists).
 //
-// slices.SortFunc avoids sort.Slice's interface boxing per call.
-//
-//lint:hotpath the steady path reuses nbScratch and the epoch caches;
+//lint:hotpath the steady path reuses nbScratch and the stamped slots.
 func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
+	si, rated := m.svcIdx[q.Subject]
+	if !rated {
+		return core.TrustValue{Score: 0.5, Confidence: 0}, false
+	}
 	if q.Perspective == "" {
-		return m.itemMeanCached(q.Subject)
+		return m.itemMean(si), true
 	}
-	me, ok := m.ratings[q.Perspective]
-	if !ok || len(me) == 0 {
-		return m.itemMeanCached(q.Subject)
+	ci, known := m.conIdx[q.Perspective]
+	if !known {
+		return m.itemMean(si), true
 	}
+	me := &m.cons[ci]
 	// Direct experience short-circuits: the consumer knows this service.
-	if v, rated := me[q.Subject]; rated {
-		return core.TrustValue{Score: v, Confidence: 0.9}, true
+	if r, direct := slices.BinarySearchFunc(me.row, q.Subject, byKey); direct {
+		return core.TrustValue{Score: me.row[r].v, Confidence: 0.9}, true
 	}
-	myMean := m.meanOfCached(q.Perspective, me)
-	iufW := m.itemWeightsCached()
+	myMean := m.meanOf(ci)
 
+	// Keep the k most similar raters, best first. The column runs in
+	// consumer-ID order, so of two equal similarities the lower ID stays
+	// ahead: the order a sort by (similarity desc, ID) gives.
 	nbs := m.nbScratch[:0]
-	for _, other := range m.consumersCached() {
-		if other == q.Perspective {
-			continue
-		}
-		row := m.ratings[other]
-		val, rated := row[q.Subject]
-		if !rated {
-			continue
-		}
-		s, ok := m.similarityCached(q.Perspective, other, me, row, iufW)
+	for _, x := range m.svcs[si].col {
+		s, ok := m.simOf(ci, x.idx)
 		if !ok || s <= 0 {
 			continue
 		}
 		if m.rho > 1 {
 			s = math.Pow(s, m.rho)
 		}
-		nbs = append(nbs, neighbor{other, s, m.meanOfCached(other, row), val})
+		i := len(nbs)
+		for i > 0 && s > nbs[i-1].sim {
+			i--
+		}
+		if i == m.k {
+			continue
+		}
+		if len(nbs) < m.k {
+			nbs = append(nbs, neighbor{})
+		}
+		copy(nbs[i+1:], nbs[i:])
+		nbs[i] = neighbor{x.idx, s, x.v}
 	}
 	m.nbScratch = nbs
 	if len(nbs) == 0 {
-		return m.itemMeanCached(q.Subject)
-	}
-	// Descending similarity, id tie-break — a total order, so the result
-	// is byte-identical to the sort.Slice this replaced (which boxed nbs
-	// into an any per call).
-	slices.SortFunc(nbs, func(a, b neighbor) int {
-		switch {
-		case a.sim > b.sim:
-			return -1
-		case a.sim < b.sim:
-			return 1
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		}
-		return 0
-	})
-	if len(nbs) > m.k {
-		nbs = nbs[:m.k]
+		return m.itemMean(si), true
 	}
 	var num, den float64
 	for _, nb := range nbs {
-		num += nb.sim * (nb.val - nb.mean)
+		num += nb.sim * (nb.val - m.meanOf(nb.idx))
 		den += math.Abs(nb.sim)
 	}
 	pred := myMean + num/den
@@ -463,77 +449,36 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	return core.TrustValue{Score: pred, Confidence: conf}, true
 }
 
-// itemMean is the recompute path behind itemMeanCached: it re-sums the
-// column in sorted consumer order.
+// itemMean is service si's mean shrunk toward neutral, summed over its
+// column in consumer-ID order and cached for the column's version.
 //
-//lint:guarded itemMean runs with m.mu held by its callers
-func (m *Mechanism) itemMean(item core.EntityID) (core.TrustValue, bool) {
-	var sum, n float64
-	for _, c := range m.consumersCached() {
-		if v, ok := m.ratings[c][item]; ok {
-			sum += v
+//lint:guarded itemMean runs with m.mu held by Score's locked section
+func (m *Mechanism) itemMean(si int) core.TrustValue {
+	s := &m.svcs[si]
+	if s.meanVer != s.ver {
+		var sum, n float64
+		for _, x := range s.col {
+			sum += x.v
 			n++
 		}
+		score := (sum + 0.5*3) / (n + 3) // mild shrinkage toward neutral
+		s.mean, s.meanVer = core.TrustValue{Score: score, Confidence: n / (n + 5)}, s.ver
 	}
-	if n == 0 {
-		return core.TrustValue{Score: 0.5, Confidence: 0}, false
-	}
-	score := (sum + 0.5*3) / (n + 3) // mild shrinkage toward neutral
-	return core.TrustValue{Score: score, Confidence: n / (n + 5)}, true
+	return s.mean
 }
 
-// itemMeanCached memoizes itemMean per item; a submit about the item
-// drops just that entry.
+// meanOf is consumer ci's mean rating, summed over its row in service-ID
+// order and cached for the row's version.
 //
-//lint:guarded itemMeanCached runs with m.mu held by Score's locked section
-func (m *Mechanism) itemMeanCached(item core.EntityID) (core.TrustValue, bool) {
-	r := m.itemMemo.Get(nil, item, func() itemMeanResult {
-		tv, ok := m.itemMean(item)
-		return itemMeanResult{tv, ok}
-	})
-	return r.tv, r.ok
-}
-
-// consumers is the recompute path behind consumersCached.
-//
-//lint:guarded consumers runs with m.mu held by its callers
-func (m *Mechanism) consumers() []core.ConsumerID {
-	out := make([]core.ConsumerID, 0, len(m.ratings))
-	for id := range m.ratings {
-		out = append(out, id)
+//lint:guarded meanOf runs with m.mu held by Score's locked section
+func (m *Mechanism) meanOf(ci int) float64 {
+	c := &m.cons[ci]
+	if c.meanVer != c.ver {
+		sum := 0.0
+		for _, x := range c.row {
+			sum += x.v
+		}
+		c.mean, c.meanVer = sum/float64(len(c.row)), c.ver
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// consumersCached memoizes the sorted consumer list until a new
-// consumer appears. Callers iterate but never mutate it.
-//
-//lint:guarded consumersCached runs with m.mu held by Score's locked section
-func (m *Mechanism) consumersCached() []core.ConsumerID {
-	return m.consMemo.Get(&m.consEpoch, m.consumers)
-}
-
-// meanOfCached memoizes meanOf per consumer; a submit from the consumer
-// drops just that entry.
-//
-//lint:guarded meanOfCached runs with m.mu held by Score's locked section
-func (m *Mechanism) meanOfCached(c core.ConsumerID, row map[core.EntityID]float64) float64 {
-	return m.meanMemo.Get(nil, c, func() float64 { return meanOf(row) })
-}
-
-func meanOf(row map[core.EntityID]float64) float64 {
-	if len(row) == 0 {
-		return 0.5
-	}
-	ids := make([]core.EntityID, 0, len(row))
-	for id := range row {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sum := 0.0
-	for _, id := range ids {
-		sum += row[id]
-	}
-	return sum / float64(len(row))
+	return c.mean
 }

@@ -8,10 +8,10 @@ import (
 	"wstrust/internal/trust/trusttest"
 )
 
-// TestDifferential proves the epoch caches are pure memoization: a
-// long-lived instance with warm (and repeatedly invalidated) caches must
-// score byte-identically to a cold rebuild, for every configuration knob
-// that changes the similarity math.
+// TestDifferential proves the version-stamped caches are pure
+// memoization: a long-lived instance with warm (and repeatedly
+// invalidated) caches must score byte-identically to a cold rebuild, for
+// every configuration knob that changes the similarity math.
 func TestDifferential(t *testing.T) {
 	configs := map[string][]cf.Option{
 		"pearson":        nil,
