@@ -32,8 +32,9 @@ import (
 
 const ledgerPath = "BENCH_LEDGER.json"
 
-// cfBench selects the cf mechanism microbenchmarks the epoch caches
-// target; both the default job set and the gate run them.
+// cfBench selects the cf mechanism microbenchmarks: steady personalized
+// and item-mean Score, a scoring sweep with a rating between rounds, and
+// Submit. Both the default job set and the gate run them.
 const cfBench = "^(BenchmarkScorePearson|BenchmarkScoreCosine|BenchmarkScoreSelectionSweep|BenchmarkItemMean|BenchmarkSubmit)$"
 
 // job is one `go test -bench` invocation.

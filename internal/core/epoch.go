@@ -68,10 +68,11 @@ type KeyedMemo[K comparable, V any] struct {
 
 // Get returns the value cached for k, computing and storing it on miss.
 // If e is non-nil and has advanced since the last access, the entire
-// cache is discarded first.
+// cache is discarded first; the map keeps its buckets, so a memo whose
+// epoch advances on every write does not regrow it.
 func (km *KeyedMemo[K, V]) Get(e *Epoch, k K, compute func() V) V {
 	if e != nil && km.at != e.n {
-		km.m = nil
+		clear(km.m)
 		km.at = e.n
 	}
 	if v, ok := km.m[k]; ok {

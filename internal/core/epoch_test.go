@@ -99,3 +99,24 @@ func TestKeyedMemoEpochBulkInvalidation(t *testing.T) {
 		t.Fatalf("Len after bump+one Get = %d, want 1", km.Len())
 	}
 }
+
+// TestKeyedMemoEpochKeepsMap: discarding a generation keeps the map, so a
+// memo whose epoch advances before every read (resource's Amazon bumps it
+// on every Submit) re-caches without allocating.
+func TestKeyedMemoEpochKeepsMap(t *testing.T) {
+	var e Epoch
+	var km KeyedMemo[string, int]
+	f := func() int { return 7 }
+	for _, k := range []string{"a", "b", "c"} {
+		km.Get(&e, k, f)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.Bump()
+		km.Get(&e, "a", f)
+	}); allocs != 0 {
+		t.Fatalf("Bump+Get: %v allocs/op, want 0", allocs)
+	}
+	if km.Len() != 1 {
+		t.Fatalf("Len after bump+one Get = %d, want 1", km.Len())
+	}
+}

@@ -25,16 +25,14 @@ import (
 // listeners can distinguish monitoring traffic from real consumers.
 const MonitorConsumer core.ConsumerID = "monitor"
 
-// Option tunes a ThirdParty monitor.
-type Option func(*ThirdParty)
-
-// WithProbeCost sets the cost charged per probe invocation (default 1).
-func WithProbeCost(c float64) Option { return func(tp *ThirdParty) { tp.probeCost = c } }
-
-// WithDeployCost sets the one-time cost of installing a sensor on a
-// service (default 5): the paper notes deployment overhead "to install or
-// remove sensors" in dynamic systems.
-func WithDeployCost(c float64) Option { return func(tp *ThirdParty) { tp.deployCost = c } }
+const (
+	// probeCost is the cost charged per probe invocation.
+	probeCost = 1
+	// deployCost is the one-time cost of installing or removing a sensor
+	// on a service: the paper notes deployment overhead "to install or
+	// remove sensors" in dynamic systems.
+	deployCost = 5
+)
 
 // ThirdParty is the monitoring authority: it owns sensors, probes services
 // through the fabric, and aggregates trusted QoS reports. Safe for
@@ -42,31 +40,23 @@ func WithDeployCost(c float64) Option { return func(tp *ThirdParty) { tp.deployC
 type ThirdParty struct {
 	fabric *soa.Fabric
 
-	mu         sync.Mutex
-	sensors    map[core.ServiceID]struct{}          // guarded by mu
-	history    map[core.ServiceID][]qos.Observation // guarded by mu
-	probeCost  float64
-	deployCost float64
-	totalCost  float64 // guarded by mu
-	probes     int64   // guarded by mu
+	mu        sync.Mutex
+	sensors   map[core.ServiceID]struct{}          // guarded by mu
+	history   map[core.ServiceID][]qos.Observation // guarded by mu
+	totalCost float64                              // guarded by mu
+	probes    int64                                // guarded by mu
 }
 
 // NewThirdParty builds a monitor over the fabric.
-func NewThirdParty(fabric *soa.Fabric, opts ...Option) *ThirdParty {
+func NewThirdParty(fabric *soa.Fabric) *ThirdParty {
 	if fabric == nil {
 		panic("monitor: NewThirdParty requires a fabric")
 	}
-	tp := &ThirdParty{
-		fabric:     fabric,
-		sensors:    map[core.ServiceID]struct{}{},
-		history:    map[core.ServiceID][]qos.Observation{},
-		probeCost:  1,
-		deployCost: 5,
+	return &ThirdParty{
+		fabric:  fabric,
+		sensors: map[core.ServiceID]struct{}{},
+		history: map[core.ServiceID][]qos.Observation{},
 	}
-	for _, opt := range opts {
-		opt(tp)
-	}
-	return tp
 }
 
 // Deploy installs a sensor on the service, accruing the deployment cost.
@@ -78,7 +68,7 @@ func (tp *ThirdParty) Deploy(id core.ServiceID) error {
 		return fmt.Errorf("monitor: sensor already deployed on %s", id)
 	}
 	tp.sensors[id] = struct{}{}
-	tp.totalCost += tp.deployCost
+	tp.totalCost += deployCost
 	return nil
 }
 
@@ -91,7 +81,7 @@ func (tp *ThirdParty) Remove(id core.ServiceID) {
 		return
 	}
 	delete(tp.sensors, id)
-	tp.totalCost += tp.deployCost
+	tp.totalCost += deployCost
 }
 
 // Sensors returns the monitored services, sorted.
@@ -117,7 +107,7 @@ func (tp *ThirdParty) Probe(id core.ServiceID) (qos.Observation, error) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	tp.history[id] = append(tp.history[id], res.Observation)
-	tp.totalCost += tp.probeCost
+	tp.totalCost += probeCost
 	tp.probes++
 	return res.Observation, nil
 }

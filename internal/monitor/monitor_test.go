@@ -32,7 +32,7 @@ func newFabric(t *testing.T) *soa.Fabric {
 }
 
 func TestDeployRemoveCosts(t *testing.T) {
-	tp := NewThirdParty(newFabric(t), WithDeployCost(5), WithProbeCost(1))
+	tp := NewThirdParty(newFabric(t))
 	if err := tp.Deploy("s001"); err != nil {
 		t.Fatal(err)
 	}

@@ -95,40 +95,24 @@ func (a Agreement) Check(obs qos.Observation) []Violation {
 	return out
 }
 
-// NegotiateOption tunes negotiation.
-type NegotiateOption func(*negotiation)
-
-type negotiation struct {
-	margin          float64
-	penalty         float64
-	negotiationCost float64
-}
-
-// WithMargin sets how much slack (relative, e.g. 0.2 = 20%) the provider
-// demands between its advertised value and the threshold it will promise.
-// Default 0.1.
-func WithMargin(m float64) NegotiateOption { return func(n *negotiation) { n.margin = m } }
-
-// WithPenalty sets the per-violation penalty (default 1).
-func WithPenalty(p float64) NegotiateOption { return func(n *negotiation) { n.penalty = p } }
-
-// WithNegotiationCost sets the one-time setup cost (default 10 — the paper
-// stresses that "making a SLA comes with a cost").
-func WithNegotiationCost(c float64) NegotiateOption {
-	return func(n *negotiation) { n.negotiationCost = c }
-}
+const (
+	// margin is the slack (relative: 0.1 = 10%) the provider demands
+	// between its advertised value and the threshold it will promise.
+	margin = 0.1
+	// penalty is what one violation costs the provider.
+	penalty = 1
+	// negotiationCost is an agreement's one-time setup cost — the paper
+	// stresses that "making a SLA comes with a cost".
+	negotiationCost = 10
+)
 
 // Negotiate plays the consumer-provider negotiation: the consumer requests
 // thresholds; the provider accepts each obligation only when its advertised
 // QoS meets the threshold with margin to spare. If no requested obligation
 // survives, negotiation fails — there is nothing to agree on.
 func Negotiate(id string, consumer core.ConsumerID, provider core.ProviderID, service core.ServiceID,
-	requested []Obligation, advertised qos.Vector, opts ...NegotiateOption) (Agreement, error) {
+	requested []Obligation, advertised qos.Vector) (Agreement, error) {
 
-	n := negotiation{margin: 0.1, penalty: 1, negotiationCost: 10}
-	for _, opt := range opts {
-		opt(&n)
-	}
 	var accepted []Obligation
 	for _, o := range requested {
 		adv, ok := advertised[o.Metric]
@@ -137,9 +121,9 @@ func Negotiate(id string, consumer core.ConsumerID, provider core.ProviderID, se
 		}
 		comfortable := false
 		if qos.PolarityOf(o.Metric) == qos.LowerBetter {
-			comfortable = adv*(1+n.margin) <= o.Threshold
+			comfortable = adv*(1+margin) <= o.Threshold
 		} else {
-			comfortable = adv >= o.Threshold*(1+n.margin)
+			comfortable = adv >= o.Threshold*(1+margin)
 		}
 		if comfortable {
 			accepted = append(accepted, o)
@@ -152,8 +136,8 @@ func Negotiate(id string, consumer core.ConsumerID, provider core.ProviderID, se
 	return Agreement{
 		ID: id, Consumer: consumer, Provider: provider, Service: service,
 		Obligations:         accepted,
-		PenaltyPerViolation: n.penalty,
-		NegotiationCost:     n.negotiationCost,
+		PenaltyPerViolation: penalty,
+		NegotiationCost:     negotiationCost,
 	}, nil
 }
 

@@ -58,24 +58,6 @@ func TestNegotiateFailsWhenNothingAccepted(t *testing.T) {
 	}
 }
 
-func TestNegotiateOptions(t *testing.T) {
-	a, err := Negotiate("sla-3", "c001", "p001", "s001",
-		[]Obligation{{qos.ResponseTime, 200}}, qos.Vector{qos.ResponseTime: 100},
-		WithMargin(0.5), WithPenalty(7), WithNegotiationCost(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.PenaltyPerViolation != 7 || a.NegotiationCost != 3 {
-		t.Fatalf("options not applied: %+v", a)
-	}
-	// Margin 1.0 makes 100*2 > 200 fail.
-	if _, err := Negotiate("sla-4", "c001", "p001", "s001",
-		[]Obligation{{qos.ResponseTime, 200}}, qos.Vector{qos.ResponseTime: 100},
-		WithMargin(1.5)); err == nil {
-		t.Fatal("tight margin negotiation should fail")
-	}
-}
-
 func TestAgreementCheck(t *testing.T) {
 	a := Agreement{
 		ID: "sla-5",
@@ -110,8 +92,7 @@ func TestAgreementCheck(t *testing.T) {
 func TestLedgerLifecycle(t *testing.T) {
 	l := NewLedger()
 	a, err := Negotiate("sla-6", "c001", "p001", "s001",
-		[]Obligation{{qos.ResponseTime, 200}}, qos.Vector{qos.ResponseTime: 100},
-		WithPenalty(5))
+		[]Obligation{{qos.ResponseTime, 200}}, qos.Vector{qos.ResponseTime: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +116,8 @@ func TestLedgerLifecycle(t *testing.T) {
 	if vs := l.Observe("c002", "s001", qos.Observation{Success: false}); len(vs) != 0 {
 		t.Fatalf("unrelated observe produced %+v", vs)
 	}
-	if got := l.Penalty("p001"); got != 5 {
-		t.Fatalf("Penalty = %g, want 5", got)
+	if got := l.Penalty("p001"); got != 1 {
+		t.Fatalf("Penalty = %g, want 1", got)
 	}
 	if l.Violations() != 1 {
 		t.Fatalf("Violations = %d", l.Violations())

@@ -24,18 +24,9 @@ import (
 	"wstrust/internal/p2p"
 )
 
-// Option configures the mechanism.
-type Option func(*Mechanism)
-
-// WithDirectSufficiency sets how many direct interactions make an agent
-// skip recommendations (default 5).
-func WithDirectSufficiency(n int) Option {
-	return func(m *Mechanism) {
-		if n > 0 {
-			m.sufficiency = n
-		}
-	}
-}
+// sufficiency is how many direct interactions make an agent skip
+// recommendations.
+const sufficiency = 5
 
 // highAt is the facet value above which an observation counts as "high"
 // in the CPTs.
@@ -137,8 +128,7 @@ func (a *agent) recWeight(r core.ConsumerID) float64 {
 
 // Mechanism is the Wang-Vassileva trust engine. Safe for concurrent use.
 type Mechanism struct {
-	net         *p2p.Network
-	sufficiency int
+	net *p2p.Network
 
 	mu     sync.Mutex
 	agents map[core.ConsumerID]*agent
@@ -152,20 +142,15 @@ var (
 
 // New builds the mechanism. net carries recommendation exchanges and may
 // not be nil — the model is decentralized by construction.
-func New(net *p2p.Network, opts ...Option) *Mechanism {
+func New(net *p2p.Network) *Mechanism {
 	if net == nil {
 		panic("bayesnet: nil network")
 	}
-	m := &Mechanism{
-		net:         net,
-		sufficiency: 5,
-		agents:      map[core.ConsumerID]*agent{},
-		counts:      map[core.EntityID]float64{},
+	return &Mechanism{
+		net:    net,
+		agents: map[core.ConsumerID]*agent{},
+		counts: map[core.EntityID]float64{},
 	}
-	for _, opt := range opts {
-		opt(m)
-	}
-	return m
 }
 
 // Name implements core.Mechanism.
@@ -256,7 +241,7 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 		directN = model.n
 	}
 	ag.mu.Unlock()
-	if directN >= float64(m.sufficiency) {
+	if directN >= sufficiency {
 		return core.TrustValue{Score: direct, Confidence: directN / (directN + 2)}, true
 	}
 

@@ -2,6 +2,7 @@ package bayesnet
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"wstrust/internal/core"
@@ -95,8 +96,8 @@ func TestRecommendationTrustLearning(t *testing.T) {
 
 func TestDirectSufficiencySkipsNetwork(t *testing.T) {
 	net := p2p.NewNetwork()
-	m := New(net, WithDirectSufficiency(3))
-	for j := 0; j < 5; j++ {
+	m := New(net)
+	for j := 0; j < 5; j++ { // the 5 direct interactions that suffice
 		_ = m.Submit(fb("c001", "s001", 1, nil))
 		_ = m.Submit(fb("other", "s001", 0, nil))
 	}
@@ -138,32 +139,44 @@ func TestUnknownInvalidReset(t *testing.T) {
 // TestScoreRacesSettlingSubmit runs an asker's personalized Score, which
 // records every recommendation it gathered as pending, against the
 // asker's own Submits of the same subject, each of which settles and
-// deletes that pending entry.
+// deletes that pending entry. The asker moves to a new subject after 4
+// Submits, short of the 5 direct interactions that would let Score skip
+// recommendations, and the scorer follows it.
 func TestScoreRacesSettlingSubmit(t *testing.T) {
-	const raters, rounds = 32, 2000
-	m := New(p2p.NewNetwork(), WithDirectSufficiency(1<<30))
-	for i := 0; i < raters; i++ {
-		if err := m.Submit(fb(core.NewConsumerID(i), "s001", 0.9, nil)); err != nil {
-			t.Fatal(err)
+	const raters, subjects, perSubject = 32, 2000, 4
+	m := New(p2p.NewNetwork())
+	for s := 0; s < subjects; s++ {
+		for i := 0; i < raters; i++ {
+			if err := m.Submit(fb(core.NewConsumerID(i), core.NewServiceID(s), 0.9, nil)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	const asker = core.ConsumerID("asker")
+	var cur atomic.Int64
+	done := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			m.Score(core.Query{Perspective: asker, Subject: "s001"})
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			if err := m.Submit(fb(asker, "s001", float64(i%2), nil)); err != nil {
-				t.Error(err)
+		for {
+			select {
+			case <-done:
 				return
+			default:
+				m.Score(core.Query{Perspective: asker, Subject: core.NewServiceID(int(cur.Load()))})
 			}
 		}
 	}()
+	for s := 0; s < subjects; s++ {
+		cur.Store(int64(s))
+		for j := 0; j < perSubject; j++ {
+			if err := m.Submit(fb(asker, core.NewServiceID(s), float64(j%2), nil)); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+	}
+	close(done)
 	wg.Wait()
 }

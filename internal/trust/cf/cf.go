@@ -1,28 +1,27 @@
 // Package cf implements collaborative filtering for web service selection —
 // the centralized / resource / personalized branch of the survey's
-// Figure 4. It covers the empirical-analysis toolkit of Breese, Heckerman
-// & Kadie [3] (Pearson correlation and vector/cosine similarity, inverse
-// user frequency, case amplification), which is precisely the design space
-// Karta [13] investigates for web services, and the recommender-based
-// dynamic selection of Manikrao & Prabhakar [17].
+// Figure 4. It follows the memory-based predictor of Breese, Heckerman &
+// Kadie [3] with its two similarity measures (Pearson correlation and
+// vector/cosine similarity), the design space Karta [13] investigates for
+// web services, and the recommender-based dynamic selection of Manikrao &
+// Prabhakar [17].
 //
 // The mechanism keeps a consumer × service rating matrix (latest rating
 // wins) and predicts the rating a perspective consumer would give an
-// unconsumed service from the ratings of similar consumers.
+// unconsumed service from the ratings of the k most similar consumers.
 //
 // Submit gives each consumer and service a dense index on first sight and
 // keeps every rating twice: in the consumer's row, sorted by service ID,
 // and in the service's column, sorted by consumer ID (a re-rating
 // overwrites both in place). A similarity is a merge-join of two rows;
-// Score walks only the subject's column. Consumer and item means, IUF
-// weights and pairwise similarities are cached in slots stamped with the
-// versions they were computed at — the rows' and column's versions and
-// the IUF generation — so a Submit invalidates by bumping counters. Every
-// sum runs in ID order (items inside a similarity and a consumer mean,
-// raters in an item mean and the neighbor walk), the order a recompute
-// from scratch over sorted IDs uses, so scores are bit-identical to it:
-// reference_test.go keeps that recompute as a map-based reference and
-// compares bits.
+// Score walks only the subject's column. Consumer and item means and
+// pairwise similarities are cached in slots stamped with the versions of
+// the rows and column they were computed from, so a Submit invalidates by
+// bumping counters. Every sum runs in ID order (items inside a similarity
+// and a consumer mean, raters in an item mean and the neighbor walk), the
+// order a recompute from scratch over sorted IDs uses, so scores are
+// bit-identical to it: reference_test.go keeps that recompute as a
+// map-based reference and compares bits.
 package cf
 
 import (
@@ -63,50 +62,14 @@ type Option func(*Mechanism)
 // WithSimilarity selects the similarity measure (default Pearson).
 func WithSimilarity(s Similarity) Option { return func(m *Mechanism) { m.sim = s } }
 
-// WithNeighbors sets the neighborhood size k (default 10).
-func WithNeighbors(k int) Option {
-	return func(m *Mechanism) {
-		if k > 0 {
-			m.k = k
-		}
-	}
-}
-
-// WithCaseAmplification applies Breese's case amplification sim^ρ
-// (ρ ≥ 1 emphasizes strong similarities; default 1 = off).
-func WithCaseAmplification(rho float64) Option {
-	return func(m *Mechanism) {
-		if rho >= 1 {
-			m.rho = rho
-		}
-	}
-}
-
-// WithInverseUserFrequency enables Breese's inverse user frequency: items
-// everyone rates carry less similarity signal (default off).
-func WithInverseUserFrequency(on bool) Option { return func(m *Mechanism) { m.iuf = on } }
-
-// WithDefaultVoting enables Breese's default voting: similarities are
-// computed over the union of the two users' items, with missing ratings
-// filled by the given default value. It densifies sparse overlap at the
-// cost of blurring strong signals.
-func WithDefaultVoting(value float64) Option {
-	return func(m *Mechanism) {
-		if value >= 0 && value <= 1 {
-			m.defaultVote = &value
-		}
-	}
-}
-
-// WithMinOverlap sets the minimum number of co-rated items required before
-// a similarity is trusted (default 2).
-func WithMinOverlap(n int) Option {
-	return func(m *Mechanism) {
-		if n > 0 {
-			m.minOverlap = n
-		}
-	}
-}
+const (
+	// neighbors is the neighborhood size k: a prediction uses at most the
+	// k raters most similar to the perspective.
+	neighbors = 10
+	// minOverlap is the number of co-rated items a similarity needs
+	// before it is trusted.
+	minOverlap = 2
+)
 
 // cell is one rating in a row or a column. key and idx name the other
 // side — the service in a consumer's row, the consumer in a service's
@@ -127,52 +90,41 @@ type consumer struct {
 	ver     uint64
 	mean    float64
 	meanVer uint64
-	// sims[b] is the raw (pre-amplification) similarity of this consumer,
-	// as perspective, to consumer b.
+	// sims[b] is the similarity of this consumer, as perspective, to
+	// consumer b.
 	sims []simSlot
 }
 
 // service is one interned service. ver counts the Submits that changed
-// col; mean is valid while meanVer == ver, iuf while iufGen is the
-// mechanism's IUF generation.
+// col; mean is valid while meanVer == ver.
 type service struct {
 	col     []cell // by consumer ID
 	ver     uint64
 	mean    core.TrustValue
 	meanVer uint64
-	iuf     float64
-	iufGen  uint64
 }
 
 // simSlot holds one similarity outcome, including the below-minimum
-// rejection, and the perspective's version, the rater's version and the
-// IUF generation it was computed at.
+// rejection, and the perspective's and the rater's versions it was
+// computed at.
 type simSlot struct {
 	s  float64
 	ok bool
-	at [3]uint64
+	at [2]uint64
 }
 
-// pair is one item of a similarity: both ratings and the item's weight.
-type pair struct{ x, y, w float64 }
+// pair is one co-rated item of a similarity: both ratings.
+type pair struct{ x, y float64 }
 
 // Mechanism is the collaborative-filtering engine. Safe for concurrent use.
 type Mechanism struct {
-	sim         Similarity
-	k           int
-	rho         float64
-	iuf         bool
-	minOverlap  int
-	defaultVote *float64
+	sim Similarity
 
 	mu     sync.Mutex
 	conIdx map[core.ConsumerID]int // guarded by mu
 	svcIdx map[core.EntityID]int   // guarded by mu
 	cons   []consumer              // guarded by mu
 	svcs   []service               // guarded by mu
-	// gen is the IUF generation. With IUF on, each new cell bumps it, since
-	// a new cell changes a rater count and maybe the consumer count.
-	gen uint64 // guarded by mu
 	// pairs and nbScratch are similarity's and Score's reused buffers.
 	pairs     []pair     // guarded by mu
 	nbScratch []neighbor // guarded by mu
@@ -183,12 +135,9 @@ var _ core.Mechanism = (*Mechanism)(nil)
 // New builds a collaborative-filtering mechanism.
 func New(opts ...Option) *Mechanism {
 	m := &Mechanism{
-		sim:        Pearson,
-		k:          10,
-		rho:        1,
-		minOverlap: 2,
-		conIdx:     map[core.ConsumerID]int{},
-		svcIdx:     map[core.EntityID]int{},
+		sim:    Pearson,
+		conIdx: map[core.ConsumerID]int{},
+		svcIdx: map[core.EntityID]int{},
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -197,13 +146,7 @@ func New(opts ...Option) *Mechanism {
 }
 
 // Name implements core.Mechanism.
-func (m *Mechanism) Name() string {
-	name := "cf-" + m.sim.String()
-	if m.defaultVote != nil {
-		name += "+default"
-	}
-	return name
-}
+func (m *Mechanism) Name() string { return "cf-" + m.sim.String() }
 
 // Submit implements core.Mechanism.
 func (m *Mechanism) Submit(fb core.Feedback) error {
@@ -236,104 +179,61 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 	} else {
 		c.row = slices.Insert(c.row, r, cell{fb.Service, si, v})
 		s.col = slices.Insert(s.col, k, cell{fb.Consumer, ci, v})
-		if m.iuf {
-			m.gen++
-		}
 	}
 	c.ver++
 	s.ver++
 	return nil
 }
 
-// iufWeight is Breese's inverse user frequency log(n/n_i) of service si,
-// cached for the current IUF generation (at least 1 once a cell exists).
-//
-//lint:guarded iufWeight runs with m.mu held by similarity's callers
-func (m *Mechanism) iufWeight(si int) float64 {
-	s := &m.svcs[si]
-	if s.iufGen != m.gen {
-		w := math.Log(float64(len(m.cons)) / float64(len(s.col)))
-		if w <= 0 {
-			w = 1e-9 // rated by everyone: nearly no signal, never negative
-		}
-		s.iuf, s.iufGen = w, m.gen
-	}
-	return s.iuf
-}
-
-// similarity computes sim(a,b) over co-rated items, or over the union
-// under default voting. It merges the two ID-sorted rows into m.pairs, so
-// the sums run in item-ID order; ok is false when the overlap is below
-// the minimum.
+// similarity computes sim(a,b) over co-rated items. It merges the two
+// ID-sorted rows into m.pairs, so the sums run in item-ID order; ok is
+// false when the overlap is below the minimum.
 //
 //lint:guarded similarity runs with m.mu held by its callers
 func (m *Mechanism) similarity(a, b []cell) (float64, bool) {
 	ps := m.pairs[:0]
-	dv := 0.0
-	if m.defaultVote != nil {
-		dv = *m.defaultVote
-	}
-	overlap, i, j := 0, 0, 0
+	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i].idx == b[j].idx:
-			w := 1.0
-			if m.iuf {
-				w = m.iufWeight(a[i].idx)
-			}
-			ps = append(ps, pair{a[i].v, b[j].v, w})
-			overlap++
+			ps = append(ps, pair{a[i].v, b[j].v})
 			i++
 			j++
 		case a[i].key < b[j].key:
-			if m.defaultVote != nil {
-				ps = append(ps, pair{a[i].v, dv, 1})
-			}
 			i++
 		default:
-			if m.defaultVote != nil {
-				ps = append(ps, pair{dv, b[j].v, 1})
-			}
 			j++
 		}
 	}
-	if m.defaultVote != nil {
-		for ; i < len(a); i++ {
-			ps = append(ps, pair{a[i].v, dv, 1})
-		}
-		for ; j < len(b); j++ {
-			ps = append(ps, pair{dv, b[j].v, 1})
-		}
-	}
 	m.pairs = ps
-	if overlap < m.minOverlap {
+	if len(ps) < minOverlap {
 		return 0, false
 	}
 	switch m.sim {
 	case Cosine:
 		var dot, na, nb float64
 		for _, p := range ps {
-			dot += p.w * p.x * p.y
-			na += p.w * p.x * p.x
-			nb += p.w * p.y * p.y
+			dot += p.x * p.y
+			na += p.x * p.x
+			nb += p.y * p.y
 		}
 		if na == 0 || nb == 0 {
 			return 0, false
 		}
 		return dot / (math.Sqrt(na) * math.Sqrt(nb)), true
 	default: // Pearson
-		var sw, sx, sy float64
+		var sx, sy float64
 		for _, p := range ps {
-			sw += p.w
-			sx += p.w * p.x
-			sy += p.w * p.y
+			sx += p.x
+			sy += p.y
 		}
-		mx, my := sx/sw, sy/sw
+		n := float64(len(ps))
+		mx, my := sx/n, sy/n
 		var cov, vx, vy float64
 		for _, p := range ps {
-			cov += p.w * (p.x - mx) * (p.y - my)
-			vx += p.w * (p.x - mx) * (p.x - mx)
-			vy += p.w * (p.y - my) * (p.y - my)
+			cov += (p.x - mx) * (p.y - my)
+			vx += (p.x - mx) * (p.x - mx)
+			vy += (p.y - my) * (p.y - my)
 		}
 		if vx == 0 || vy == 0 {
 			return 0, false
@@ -342,9 +242,8 @@ func (m *Mechanism) similarity(a, b []cell) (float64, bool) {
 	}
 }
 
-// simOf returns the raw similarity of perspective a to rater b from a's
-// slot, recomputing it when either row or the IUF generation has moved
-// since. Case amplification is applied by the caller.
+// simOf returns the similarity of perspective a to rater b from a's slot,
+// recomputing it when either row has moved since.
 //
 //lint:guarded simOf runs with m.mu held by its callers
 func (m *Mechanism) simOf(a, b int) (float64, bool) {
@@ -352,7 +251,7 @@ func (m *Mechanism) simOf(a, b int) (float64, bool) {
 	if b >= len(ca.sims) {
 		ca.sims = append(ca.sims, make([]simSlot, len(m.cons)-len(ca.sims))...)
 	}
-	sl, at := &ca.sims[b], [3]uint64{ca.ver, cb.ver, m.gen}
+	sl, at := &ca.sims[b], [2]uint64{ca.ver, cb.ver}
 	if sl.at != at {
 		sl.s, sl.ok = m.similarity(ca.row, cb.row)
 		sl.at = at
@@ -418,17 +317,14 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 		if !ok || s <= 0 {
 			continue
 		}
-		if m.rho > 1 {
-			s = math.Pow(s, m.rho)
-		}
 		i := len(nbs)
 		for i > 0 && s > nbs[i-1].sim {
 			i--
 		}
-		if i == m.k {
+		if i == neighbors {
 			continue
 		}
-		if len(nbs) < m.k {
+		if len(nbs) < neighbors {
 			nbs = append(nbs, neighbor{})
 		}
 		copy(nbs[i+1:], nbs[i:])

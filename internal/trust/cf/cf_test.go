@@ -114,41 +114,18 @@ func TestCosineSimilarityNonNegativeRatings(t *testing.T) {
 }
 
 func TestMinOverlapGuard(t *testing.T) {
-	m := New(WithMinOverlap(3))
-	_ = m.Submit(fb("x", "s1", 1))
-	_ = m.Submit(fb("y", "s1", 1))
+	m := New()
+	// x and y share one item, below the two-item minimum.
+	_ = m.Submit(fb("x", "s1", 0.9))
+	_ = m.Submit(fb("x", "s2", 0.2))
+	_ = m.Submit(fb("y", "s1", 0.8))
+	_ = m.Submit(fb("y", "s3", 0.1))
 	if _, ok := m.SimilarityBetween("x", "y"); ok {
 		t.Fatal("similarity computed below overlap minimum")
 	}
-}
-
-func TestCaseAmplificationSharpens(t *testing.T) {
-	base := New()
-	amp := New(WithCaseAmplification(2.5))
-	for _, m := range []*Mechanism{base, amp} {
-		twoCamps(m)
-		// A weakly similar consumer: agrees on one dimension only.
-		_ = m.Submit(fb("weak", "s-a", 0.95))
-		_ = m.Submit(fb("weak", "s-b", 0.6))
-		_ = m.Submit(fb("weak", "s-target", 0.3)) // noise vote
-	}
-	b, _ := base.Score(core.Query{Perspective: "a1", Subject: "s-target"})
-	a, _ := amp.Score(core.Query{Perspective: "a1", Subject: "s-target"})
-	// Amplification suppresses the weak neighbour's noise vote, pushing the
-	// prediction further toward the strong camp.
-	if a.Score < b.Score-1e-9 {
-		t.Fatalf("amplified %g below base %g", a.Score, b.Score)
-	}
-}
-
-func TestInverseUserFrequencyRuns(t *testing.T) {
-	m := New(WithInverseUserFrequency(true))
-	twoCamps(m)
-	// s-a and s-b are rated by everyone → low IUF weight, but predictions
-	// must still work and stay in range.
-	tv, ok := m.Score(core.Query{Perspective: "a1", Subject: "s-target"})
-	if !ok || tv.Score < 0 || tv.Score > 1 {
-		t.Fatalf("IUF prediction broken: %+v ok=%v", tv, ok)
+	_ = m.Submit(fb("y", "s2", 0.3))
+	if _, ok := m.SimilarityBetween("x", "y"); !ok {
+		t.Fatal("no similarity at the overlap minimum")
 	}
 }
 
@@ -166,13 +143,43 @@ func TestPredictionClamped(t *testing.T) {
 	}
 }
 
+// TestNeighborsCap: only the k = 10 most similar raters vote. Ten raters
+// who agree with the perspective exactly and two who agree only loosely
+// all rate the target; the loose two sort first by ID, so the column walk
+// meets them first and must evict them, leaving the prediction of the ten
+// alone.
 func TestNeighborsCap(t *testing.T) {
-	m := New(WithNeighbors(1))
-	twoCamps(m)
-	// With k=1 only the single most similar rater votes; still works.
-	tv, ok := m.Score(core.Query{Perspective: "a1", Subject: "s-target"})
-	if !ok || tv.Score < 0.5 {
-		t.Fatalf("k=1 prediction = %+v ok=%v", tv, ok)
+	seed := func(m *Mechanism, loose bool) {
+		_ = m.Submit(fb("me", "s1", 0.9))
+		_ = m.Submit(fb("me", "s2", 0.1))
+		_ = m.Submit(fb("me", "s3", 0.5))
+		if loose {
+			for _, c := range []core.ConsumerID{"a-loose1", "a-loose2"} {
+				_ = m.Submit(fb(c, "s1", 0.8))
+				_ = m.Submit(fb(c, "s2", 0.3))
+				_ = m.Submit(fb(c, "s3", 0.2))
+				_ = m.Submit(fb(c, "s-target", 0.05))
+			}
+		}
+		for i := 0; i < 10; i++ {
+			c := core.NewConsumerID(i)
+			_ = m.Submit(fb(c, "s1", 0.9))
+			_ = m.Submit(fb(c, "s2", 0.1))
+			_ = m.Submit(fb(c, "s3", 0.5))
+			_ = m.Submit(fb(c, "s-target", 0.8))
+		}
+	}
+	ten, capped := New(), New()
+	seed(ten, false)
+	seed(capped, true)
+	if s, ok := capped.SimilarityBetween("me", "a-loose1"); !ok || s <= 0 {
+		t.Fatalf("loose rater similarity = %g ok=%v, want a positive candidate", s, ok)
+	}
+	q := core.Query{Perspective: "me", Subject: "s-target"}
+	want, _ := ten.Score(q)
+	got, ok := capped.Score(q)
+	if !ok || got != want {
+		t.Fatalf("12 candidates predicted %+v, want the 10 closest alone: %+v", got, want)
 	}
 }
 
@@ -189,47 +196,5 @@ func TestNameReflectsSimilarity(t *testing.T) {
 	}
 	if New().Name() != "cf-pearson" {
 		t.Fatal("default name wrong")
-	}
-}
-
-func TestDefaultVotingDensifiesSparseOverlap(t *testing.T) {
-	// Two raters share only ONE co-rated item: below the overlap minimum
-	// without default voting, similarity exists with it.
-	plain := New(WithMinOverlap(1))
-	dv := New(WithMinOverlap(1), WithDefaultVoting(0.5))
-	for _, m := range []*Mechanism{plain, dv} {
-		_ = m.Submit(fb("x", "s1", 0.9))
-		_ = m.Submit(fb("x", "s2", 0.8))
-		_ = m.Submit(fb("y", "s1", 0.9))
-		_ = m.Submit(fb("y", "s3", 0.2))
-	}
-	sp, okP := plain.SimilarityBetween("x", "y")
-	sd, okD := dv.SimilarityBetween("x", "y")
-	if !okD {
-		t.Fatal("default voting found no similarity")
-	}
-	_ = sp
-	_ = okP
-	// The default-vote similarity is computed over the union (4 items) and
-	// is finite; Pearson over a single co-rated item is degenerate (zero
-	// variance) so plain reports no similarity.
-	if okP {
-		t.Fatalf("single-item Pearson should be degenerate, got %g", sp)
-	}
-	if sd < -1 || sd > 1 {
-		t.Fatalf("default-vote similarity out of range: %g", sd)
-	}
-	if dv.Name() != "cf-pearson+default" {
-		t.Fatalf("name = %q", dv.Name())
-	}
-}
-
-func TestDefaultVotingStillSeparatesCamps(t *testing.T) {
-	m := New(WithDefaultVoting(0.5))
-	twoCamps(m)
-	forA, okA := m.Score(core.Query{Perspective: "a1", Subject: "s-target"})
-	forB, okB := m.Score(core.Query{Perspective: "b1", Subject: "s-target"})
-	if !okA || !okB || forA.Score <= forB.Score {
-		t.Fatalf("default voting broke personalization: A=%g B=%g", forA.Score, forB.Score)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // TestConcurrentSubmitScoreReset hammers the cached mechanism from many
 // goroutines; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
-	m := cf.New(cf.WithInverseUserFrequency(true))
+	m := cf.New()
 	trusttest.Hammer(t, m)
 	// The hammer rates s000..s006, so s007's score reads only these.
 	fresh := core.NewServiceID(7)

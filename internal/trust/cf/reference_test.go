@@ -36,99 +36,47 @@ func (r *mapReference) Submit(fb core.Feedback) error {
 	return nil
 }
 
-// itemWeights computes inverse-user-frequency weights log(n/n_i).
-func (r *mapReference) itemWeights() map[core.EntityID]float64 {
-	if !r.cfg.iuf {
-		return nil
-	}
-	counts := map[core.EntityID]int{}
-	for _, row := range r.ratings {
-		for item := range row {
-			counts[item]++
-		}
-	}
-	n := float64(len(r.ratings))
-	out := make(map[core.EntityID]float64, len(counts))
-	for item, c := range counts {
-		w := math.Log(n / float64(c))
-		if w <= 0 {
-			w = 1e-9
-		}
-		out[item] = w
-	}
-	return out
-}
-
-func (r *mapReference) similarity(a, b map[core.EntityID]float64, iufW map[core.EntityID]float64) (float64, bool) {
-	type pair struct{ x, y, w float64 }
+func (r *mapReference) similarity(a, b map[core.EntityID]float64) (float64, bool) {
+	type pair struct{ x, y float64 }
 	var ps []pair
-	itemSet := make(map[core.EntityID]bool, len(a)+len(b))
+	items := make([]core.EntityID, 0, len(a))
 	for item := range a {
-		itemSet[item] = true
-	}
-	if r.cfg.defaultVote != nil {
-		for item := range b {
-			itemSet[item] = true
-		}
-	}
-	items := make([]core.EntityID, 0, len(itemSet))
-	for item := range itemSet {
 		items = append(items, item)
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	overlap := 0
 	for _, item := range items {
-		va, okA := a[item]
-		vb, okB := b[item]
-		if okA && okB {
-			overlap++
+		if vb, ok := b[item]; ok {
+			ps = append(ps, pair{a[item], vb})
 		}
-		if r.cfg.defaultVote == nil {
-			if !okA || !okB {
-				continue
-			}
-		} else {
-			if !okA {
-				va = *r.cfg.defaultVote
-			}
-			if !okB {
-				vb = *r.cfg.defaultVote
-			}
-		}
-		w := 1.0
-		if iufW != nil && okA && okB {
-			w = iufW[item]
-		}
-		ps = append(ps, pair{va, vb, w})
 	}
-	if overlap < r.cfg.minOverlap {
+	if len(ps) < minOverlap {
 		return 0, false
 	}
 	switch r.cfg.sim {
 	case Cosine:
 		var dot, na, nb float64
 		for _, p := range ps {
-			dot += p.w * p.x * p.y
-			na += p.w * p.x * p.x
-			nb += p.w * p.y * p.y
+			dot += p.x * p.y
+			na += p.x * p.x
+			nb += p.y * p.y
 		}
 		if na == 0 || nb == 0 {
 			return 0, false
 		}
 		return dot / (math.Sqrt(na) * math.Sqrt(nb)), true
 	default: // Pearson
-		var sw, sx, sy float64
+		var sx, sy float64
 		for _, p := range ps {
-			sw += p.w
-			sx += p.w * p.x
-			sy += p.w * p.y
+			sx += p.x
+			sy += p.y
 		}
-		mx, my := sx/sw, sy/sw
+		n := float64(len(ps))
+		mx, my := sx/n, sy/n
 		var cov, vx, vy float64
 		for _, p := range ps {
-			cov += p.w * (p.x - mx) * (p.y - my)
-			vx += p.w * (p.x - mx) * (p.x - mx)
-			vy += p.w * (p.y - my) * (p.y - my)
+			cov += (p.x - mx) * (p.y - my)
+			vx += (p.x - mx) * (p.x - mx)
+			vy += (p.y - my) * (p.y - my)
 		}
 		if vx == 0 || vy == 0 {
 			return 0, false
@@ -143,7 +91,7 @@ func (r *mapReference) SimilarityBetween(a, b core.ConsumerID) (float64, bool) {
 	if !ok1 || !ok2 {
 		return 0, false
 	}
-	return r.similarity(ra, rb, r.itemWeights())
+	return r.similarity(ra, rb)
 }
 
 func (r *mapReference) Score(q core.Query) (core.TrustValue, bool) {
@@ -158,7 +106,6 @@ func (r *mapReference) Score(q core.Query) (core.TrustValue, bool) {
 		return core.TrustValue{Score: v, Confidence: 0.9}, true
 	}
 	myMean := meanOfMap(me)
-	iufW := r.itemWeights()
 
 	type neighbor struct {
 		id             core.ConsumerID
@@ -174,12 +121,9 @@ func (r *mapReference) Score(q core.Query) (core.TrustValue, bool) {
 		if !rated {
 			continue
 		}
-		s, ok := r.similarity(me, row, iufW)
+		s, ok := r.similarity(me, row)
 		if !ok || s <= 0 {
 			continue
-		}
-		if r.cfg.rho > 1 {
-			s = math.Pow(s, r.cfg.rho)
 		}
 		nbs = append(nbs, neighbor{other, s, meanOfMap(row), val})
 	}
@@ -192,8 +136,8 @@ func (r *mapReference) Score(q core.Query) (core.TrustValue, bool) {
 		}
 		return nbs[i].id < nbs[j].id
 	})
-	if len(nbs) > r.cfg.k {
-		nbs = nbs[:r.cfg.k]
+	if len(nbs) > neighbors {
+		nbs = nbs[:neighbors]
 	}
 	var num, den float64
 	for _, nb := range nbs {
@@ -248,27 +192,21 @@ func meanOfMap(row map[core.EntityID]float64) float64 {
 	return sum / float64(len(row))
 }
 
-// referenceConfigs are TestDifferential's six configurations plus the two
-// that weight a cosine similarity by inverse user frequency.
+// referenceConfigs are the two similarity measures.
 var referenceConfigs = []struct {
 	name string
 	opts []Option
 }{
 	{"pearson", nil},
 	{"cosine", []Option{WithSimilarity(Cosine)}},
-	{"iuf", []Option{WithInverseUserFrequency(true)}},
-	{"amplified", []Option{WithCaseAmplification(2.5)}},
-	{"default-voting", []Option{WithDefaultVoting(0.5)}},
-	{"small-k", []Option{WithNeighbors(3), WithMinOverlap(1)}},
-	{"cosine-iuf", []Option{WithSimilarity(Cosine), WithInverseUserFrequency(true)}},
-	{"default-cosine-iuf", []Option{WithDefaultVoting(0.5), WithSimilarity(Cosine), WithInverseUserFrequency(true)}},
 }
 
-// Stream alphabet: raters c000..c007 rate s000..s006; queries also name a
+// Stream alphabet: raters c000..c023 rate s000..s006; queries also name a
 // consumer that never rates, the global perspective "", and a service
-// nobody rates.
+// nobody rates. More raters than the neighborhood holds rate each service,
+// so predictions evict candidates from a full neighborhood.
 const (
-	refRaters   = 8
+	refRaters   = 24
 	refServices = 7
 )
 
@@ -348,17 +286,18 @@ func matchReference(t testing.TB, opts []Option, stream []byte) {
 
 // TestMatchesMapReference compares every Score and SimilarityBetween with
 // the map-based reference, bit for bit, over random rating streams for
-// each configuration. trusttest.Differential compares two instances of
-// the same code and cannot see a changed summation order; this can.
+// each similarity measure (120 streams each). trusttest.Differential
+// compares two instances of the same code and cannot see a changed
+// summation order; this can.
 func TestMatchesMapReference(t *testing.T) {
-	seeds := 30
+	seeds := 120
 	if testing.Short() {
-		seeds = 5
+		seeds = 20
 	}
 	for _, cfg := range referenceConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				stream := make([]byte, 4*400)
+				stream := make([]byte, 4*600)
 				rand.New(rand.NewSource(seed)).Read(stream)
 				matchReference(t, cfg.opts, stream)
 			}

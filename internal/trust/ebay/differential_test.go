@@ -11,7 +11,7 @@ import (
 
 // TestDifferential replays a market into one long-lived instance and
 // proves every score stays bit-identical to a cold rebuild from the same
-// feedback prefix — the windowed counters hold no order dependence a
+// feedback prefix — the tallies hold no order dependence a
 // replay could expose.
 func TestDifferential(t *testing.T) {
 	trusttest.Differential(t, func() core.Mechanism {

@@ -1,8 +1,9 @@
 // Package ebay implements the eBay-style feedback mechanism the survey
 // uses as its canonical centralized / person-based / global example [7]:
 // each transaction yields a +1, 0 or −1 rating; an entity's reputation is
-// its cumulative score together with the fraction of positive feedback in a
-// recent window. The mechanism is deliberately simple — that simplicity is
+// its cumulative score together with its fraction of positive feedback.
+// Both come from integer tallies kept per service and per provider as
+// ratings arrive. The mechanism is deliberately simple — that simplicity is
 // exactly why the paper suggests it for web services that need no
 // personalization ("some global reputation mechanisms that are simple and
 // effective are also applicable to web service systems, like the one used
@@ -12,7 +13,6 @@ package ebay
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"wstrust/internal/core"
 )
@@ -24,24 +24,9 @@ const (
 	negativeBelow = 0.4
 )
 
-// Option configures the mechanism.
-type Option func(*Mechanism)
-
-// WithWindow restricts the positive-fraction computation to feedback newer
-// than the window (eBay's "recent 12 months" panel). Zero (default) means
-// all history.
-func WithWindow(w time.Duration) Option { return func(m *Mechanism) { m.window = w } }
-
-type entry struct {
-	value int // +1, 0, −1
-	at    time.Time
-}
-
 // tally is a subject's streaming feedback aggregate. The counters are
 // integers, so maintaining them at Submit time is bit-exact against a full
-// history scan — which is why the all-history (window == 0) score path
-// uses them unconditionally; only windowed scoring keeps and walks the
-// log. Stored by value; updates never allocate.
+// history scan. Stored by value; updates never allocate.
 type tally struct {
 	pos, neg, total int
 }
@@ -58,13 +43,9 @@ func (t *tally) add(v int) {
 
 // Mechanism is the eBay feedback engine. Safe for concurrent use.
 type Mechanism struct {
-	window time.Duration
-
 	mu      sync.Mutex
-	history map[core.EntityID][]entry // per subject (service); kept only when windowed
-	byProv  map[core.EntityID][]entry // per provider; kept only when windowed
-	counts  map[core.EntityID]tally   // streaming aggregate per subject
-	provCnt map[core.EntityID]tally   // streaming aggregate per provider
+	counts  map[core.EntityID]tally // streaming aggregate per subject
+	provCnt map[core.EntityID]tally // streaming aggregate per provider
 }
 
 var (
@@ -73,17 +54,11 @@ var (
 )
 
 // New builds an eBay-style mechanism.
-func New(opts ...Option) *Mechanism {
-	m := &Mechanism{
-		history: map[core.EntityID][]entry{},
-		byProv:  map[core.EntityID][]entry{},
+func New() *Mechanism {
+	return &Mechanism{
 		counts:  map[core.EntityID]tally{},
 		provCnt: map[core.EntityID]tally{},
 	}
-	for _, opt := range opts {
-		opt(m)
-	}
-	return m
 }
 
 // Name implements core.Mechanism.
@@ -106,17 +81,10 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 	if err := fb.Validate(); err != nil {
 		return fmt.Errorf("ebay: %w", err)
 	}
-	e := entry{value: Ternary(fb.Overall()), at: fb.At}
+	v := Ternary(fb.Overall())
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.noteSubmitLocked(fb.Service, fb.Provider, e.value)
-	if m.window == 0 {
-		return nil
-	}
-	m.history[fb.Service] = append(m.history[fb.Service], e)
-	if fb.Provider != "" {
-		m.byProv[fb.Provider] = append(m.byProv[fb.Provider], e)
-	}
+	m.noteSubmitLocked(fb.Service, fb.Provider, v)
 	return nil
 }
 
@@ -146,17 +114,13 @@ func (m *Mechanism) FeedbackScore(subject core.EntityID) int {
 	return t.pos - t.neg
 }
 
-// Score implements core.Mechanism: the positive fraction within the window
-// as score, evidence volume as confidence. eBay is global — Perspective,
-// Context and Facet are ignored, which is precisely its limitation in the
-// typology.
+// Score implements core.Mechanism: the positive fraction as score,
+// evidence volume as confidence. eBay is global — Perspective, Context and
+// Facet are ignored, which is precisely its limitation in the typology.
 func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.window == 0 {
-		return scoreTally(m.counts[q.Subject])
-	}
-	return m.scoreOf(m.history[q.Subject])
+	return scoreTally(m.counts[q.Subject])
 }
 
 // ScoreProvider implements core.ProviderScorer: eBay reputation is
@@ -164,14 +128,10 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 func (m *Mechanism) ScoreProvider(q core.Query) (core.TrustValue, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.window == 0 {
-		return scoreTally(m.provCnt[q.Subject])
-	}
-	return m.scoreOf(m.byProv[q.Subject])
+	return scoreTally(m.provCnt[q.Subject])
 }
 
-// scoreTally answers from the streaming counters — same integers a full
-// scan would count, so the resulting floats are bit-identical.
+// scoreTally answers from the streaming counters.
 func scoreTally(t tally) (core.TrustValue, bool) {
 	if t.total == 0 {
 		return core.TrustValue{Score: 0.5, Confidence: 0}, false
@@ -182,35 +142,5 @@ func scoreTally(t tally) (core.TrustValue, bool) {
 	}
 	score := float64(t.pos) / float64(t.pos+t.neg)
 	conf := float64(t.total) / float64(t.total+5)
-	return core.TrustValue{Score: score, Confidence: conf}, true
-}
-
-func (m *Mechanism) scoreOf(entries []entry) (core.TrustValue, bool) {
-	if len(entries) == 0 {
-		return core.TrustValue{Score: 0.5, Confidence: 0}, false
-	}
-	var cutoff time.Time
-	if m.window > 0 {
-		cutoff = entries[len(entries)-1].at.Add(-m.window)
-	}
-	pos, neg, total := 0, 0, 0
-	for _, e := range entries {
-		if m.window > 0 && e.at.Before(cutoff) {
-			continue
-		}
-		total++
-		switch {
-		case e.value > 0:
-			pos++
-		case e.value < 0:
-			neg++
-		}
-	}
-	if pos+neg == 0 {
-		// Only neutrals in the window: known subject, uninformative record.
-		return core.TrustValue{Score: 0.5, Confidence: 0}, true
-	}
-	score := float64(pos) / float64(pos+neg)
-	conf := float64(total) / float64(total+5)
 	return core.TrustValue{Score: score, Confidence: conf}, true
 }

@@ -52,13 +52,24 @@ func TestScorePositiveFraction(t *testing.T) {
 	for _, v := range []float64{1, 1, 1, 0} { // 3 pos, 1 neg
 		_ = m.Submit(fb("c001", "s001", v, at))
 	}
-	_ = at
 	tv, ok := m.Score(core.Query{Subject: "s001"})
 	if !ok {
 		t.Fatal("rated subject unknown")
 	}
 	if tv.Score != 0.75 {
 		t.Fatalf("Score = %g, want 0.75", tv.Score)
+	}
+	// The fraction covers all history: negatives from a month before the
+	// latest positives still count.
+	for i := 0; i < 10; i++ {
+		_ = m.Submit(fb("c001", "s002", 0, at))
+	}
+	recent := at.Add(30 * 24 * time.Hour)
+	for i := 0; i < 3; i++ {
+		_ = m.Submit(fb("c001", "s002", 1, recent))
+	}
+	if tv, _ := m.Score(core.Query{Subject: "s002"}); tv.Score != 3.0/13 {
+		t.Fatalf("Score = %g, want 3/13 over all history", tv.Score)
 	}
 }
 
@@ -78,59 +89,6 @@ func TestScoreOnlyNeutrals(t *testing.T) {
 	}
 	if tv.Score != 0.5 || tv.Confidence != 0 {
 		t.Fatalf("neutral-only = %+v", tv)
-	}
-}
-
-func TestWindowDropsOldFeedback(t *testing.T) {
-	m := New(WithWindow(24 * time.Hour))
-	// Old negatives, recent positives.
-	old := simclock.Epoch
-	for i := 0; i < 10; i++ {
-		_ = m.Submit(fb("c001", "s001", 0, old))
-	}
-	recent := old.Add(30 * 24 * time.Hour)
-	for i := 0; i < 3; i++ {
-		_ = m.Submit(fb("c001", "s001", 1, recent))
-	}
-	tv, _ := m.Score(core.Query{Subject: "s001"})
-	if tv.Score != 1 {
-		t.Fatalf("windowed score = %g, want 1 (old negatives expired)", tv.Score)
-	}
-	// Without a window the negatives dominate.
-	m2 := New()
-	for i := 0; i < 10; i++ {
-		_ = m2.Submit(fb("c001", "s001", 0, old))
-	}
-	for i := 0; i < 3; i++ {
-		_ = m2.Submit(fb("c001", "s001", 1, recent))
-	}
-	tv2, _ := m2.Score(core.Query{Subject: "s001"})
-	if tv2.Score >= 0.5 {
-		t.Fatalf("unwindowed score = %g, want < 0.5", tv2.Score)
-	}
-}
-
-// TestUnwindowedKeepsNoLog: with window 0 both scores answer from the
-// tallies, so Submit must not grow the rating logs.
-func TestUnwindowedKeepsNoLog(t *testing.T) {
-	m := New()
-	for i := 0; i < 100; i++ {
-		if err := m.Submit(fb("c001", "s001", float64(i%3)/2, simclock.Epoch)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(m.history) != 0 || len(m.byProv) != 0 {
-		t.Fatalf("window 0 kept %d subject and %d provider logs, want none", len(m.history), len(m.byProv))
-	}
-	if tv, ok := m.ScoreProvider(core.Query{Subject: "p001"}); !ok || tv.Confidence == 0 {
-		t.Fatalf("provider score = %+v ok=%v, want an answer from the tally", tv, ok)
-	}
-	w := New(WithWindow(time.Hour))
-	if err := w.Submit(fb("c001", "s001", 1, simclock.Epoch)); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.history["s001"]) != 1 || len(w.byProv["p001"]) != 1 {
-		t.Fatalf("windowed instance logged %d/%d entries, want 1/1", len(w.history["s001"]), len(w.byProv["p001"]))
 	}
 }
 

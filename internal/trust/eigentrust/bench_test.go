@@ -138,8 +138,8 @@ func TestColdRecomputeAllocs(t *testing.T) {
 	m.Score(core.Query{Subject: core.NewServiceID(0), Facet: core.FacetOverall})
 	rng := simclock.NewRand(pop + 1)
 	allocs := testing.AllocsPerRun(5, func() { oneUpdateScore(t, m, rng, pop/2) })
-	if st := m.LastConvergence(); st.WarmStart || st.Iterations != m.iters {
-		t.Fatalf("want a cold %d-round pass per update, got %+v", m.iters, st)
+	if st := m.LastConvergence(); st.WarmStart || st.Iterations != iters {
+		t.Fatalf("want a cold %d-round pass per update, got %+v", iters, st)
 	}
 	if allocs > maxAllocs {
 		t.Errorf("cold Submit+Score at pop=%d: %.0f allocs, want at most %d", pop, allocs, maxAllocs)

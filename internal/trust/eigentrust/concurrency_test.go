@@ -12,7 +12,7 @@ import (
 // TestConcurrentSubmitScoreReset hammers exact mode's kept trust vector
 // from many goroutines, including Tick; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
-	m := eigentrust.New(eigentrust.WithIterations(5))
+	m := eigentrust.New()
 	trusttest.Hammer(t, m)
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),

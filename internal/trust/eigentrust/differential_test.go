@@ -14,12 +14,9 @@ import (
 // Ticks.
 func TestDifferential(t *testing.T) {
 	build := map[string]func() core.Mechanism{
-		"plain": func() core.Mechanism { return eigentrust.New(eigentrust.WithIterations(10)) },
+		"plain": func() core.Mechanism { return eigentrust.New() },
 		"pre-trusted": func() core.Mechanism {
-			return eigentrust.New(
-				eigentrust.WithIterations(10),
-				eigentrust.WithPreTrusted(core.NewConsumerID(0), core.NewConsumerID(1)),
-			)
+			return eigentrust.New(eigentrust.WithPreTrusted(core.NewConsumerID(0), core.NewConsumerID(1)))
 		},
 	}
 	for name, b := range build {

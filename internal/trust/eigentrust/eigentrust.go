@@ -28,17 +28,12 @@ import (
 // alpha is the teleport weight toward pre-trusted peers.
 const alpha float64 = 0.15
 
+// iters is exact mode's power-iteration count; ε mode stops after at most
+// 8·iters rounds.
+const iters = 25
+
 // Option configures the mechanism.
 type Option func(*Mechanism)
-
-// WithIterations sets the power-iteration count (default 25).
-func WithIterations(n int) Option {
-	return func(m *Mechanism) {
-		if n > 0 {
-			m.iters = n
-		}
-	}
-}
 
 // WithPreTrusted declares the pre-trusted peer set P (the algorithm's
 // anchor against malicious collectives).
@@ -74,23 +69,15 @@ func WithEpsilon(eps float64) Option {
 	}
 }
 
-// WithRebaseEvery bounds incremental-mode drift: every max(n, roster size)
-// warm computes the mechanism runs one full dense refresh pass (all rows,
-// from the current vector) that clears the ≤ eps residual each bounded
-// warm compute may leave behind. The roster-size floor keeps the O(roster)
-// pass amortized to O(1) per update. Default 1024; ignored in exact mode.
-func WithRebaseEvery(n int) Option {
-	return func(m *Mechanism) {
-		if n > 0 {
-			m.rebaseEvery = n
-		}
-	}
-}
-
 // Mechanism is the EigenTrust engine. Safe for concurrent use.
 type Mechanism struct {
-	iters       int
-	eps         float64 // >0 enables incremental (warm-start) mode
+	eps float64 // >0 enables incremental (warm-start) mode
+	// rebaseEvery bounds ε-mode drift: every max(rebaseEvery, roster size)
+	// warm computes the mechanism runs one full dense refresh pass (all
+	// rows, from the current vector) that clears the ≤ eps residual each
+	// bounded warm compute may leave behind. The roster-size floor keeps
+	// the O(roster) pass amortized to O(1) per update. 1024; ignored in
+	// exact mode.
 	rebaseEvery int
 	preTrusted  map[core.EntityID]bool
 	net         *p2p.Network
@@ -118,7 +105,6 @@ var (
 //lint:guarded New constructs the mechanism; it is not shared until returned
 func New(opts ...Option) *Mechanism {
 	m := &Mechanism{
-		iters:       25,
 		rebaseEvery: 1024,
 		local:       map[core.EntityID]map[core.EntityID]float64{},
 		counts:      map[core.EntityID]int{},
@@ -238,9 +224,9 @@ func (m *Mechanism) powerIterateLocked(warm bool) {
 	if !warm {
 		copy(t, s.tele)
 	}
-	limit := m.iters
+	limit := iters
 	if m.eps > 0 {
-		limit = 8 * m.iters
+		limit = 8 * iters
 	}
 	rounds, res := 0, 0.0
 	for rounds < limit {

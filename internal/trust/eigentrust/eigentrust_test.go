@@ -110,7 +110,7 @@ func TestUnknownInvalidReset(t *testing.T) {
 
 func TestNetworkCostCharged(t *testing.T) {
 	net := p2p.NewNetwork()
-	m := New(WithNetwork(net), WithIterations(10))
+	m := New(WithNetwork(net))
 	for i := 1; i <= 4; i++ {
 		_ = m.Submit(fb(core.NewConsumerID(i), "s001", 1))
 	}

@@ -42,8 +42,9 @@ func FuzzWarmStartResidual(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := New(WithEpsilon(1e-10), WithIterations(20), WithRebaseEvery(5))
-		exact := New(WithIterations(20))
+		m := New(WithEpsilon(1e-10))
+		m.rebaseEvery = 5
+		exact := New()
 		score := func(subject core.EntityID) {
 			for _, mech := range [2]*Mechanism{m, exact} {
 				mech.Score(core.Query{Subject: subject, Facet: core.FacetOverall})
@@ -73,7 +74,7 @@ func FuzzWarmStartResidual(f *testing.F) {
 				}
 			}
 			// Every few ratings, force a compute (mixing warm propagation,
-			// dense rebases via the tight RebaseEvery, and no-op refreshes)
+			// dense rebases via the tight rebase interval, and no-op refreshes)
 			// and check the invariant on whatever work it recorded.
 			if data[i+2]%4 == 0 {
 				score(subject)

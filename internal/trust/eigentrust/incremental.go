@@ -217,7 +217,7 @@ func (m *Mechanism) propagateLocked() {
 	}
 	s.pendIx = s.pendIx[:0]
 
-	maxRounds := 8 * m.iters
+	maxRounds := 8 * iters
 	rounds, res, pushes := 0, 0.0, 0
 	for {
 		slices.Sort(curIx)

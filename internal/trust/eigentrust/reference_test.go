@@ -197,7 +197,6 @@ func withReverseRatings(s trusttest.Script) trusttest.Script {
 // every rated subject scores with the same bits as the dense reference
 // and the network carries the same number of messages.
 func TestExactMatchesDenseReference(t *testing.T) {
-	const iters = 10
 	for _, seed := range []int64{3, 19, 42, 77} {
 		for _, pre := range [][]core.EntityID{nil, {core.NewConsumerID(0), core.NewConsumerID(1)}} {
 			for _, cyclic := range []bool{false, true} {
@@ -205,7 +204,7 @@ func TestExactMatchesDenseReference(t *testing.T) {
 				if cyclic {
 					s = withReverseRatings(s)
 				}
-				m := New(WithIterations(iters), WithPreTrusted(pre...), WithNetwork(p2p.NewNetwork()))
+				m := New(WithPreTrusted(pre...), WithNetwork(p2p.NewNetwork()))
 				ref := newDenseRef(iters, pre)
 				for i, fb := range s.Feedbacks {
 					if err := m.Submit(fb); err != nil {

@@ -12,7 +12,7 @@ import (
 // TestConcurrentSubmitScoreReset hammers the epoch-cached rank vector
 // from many goroutines, including Tick; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
-	m := pagerank.New(pagerank.WithIterations(5))
+	m := pagerank.New()
 	trusttest.Hammer(t, m)
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),

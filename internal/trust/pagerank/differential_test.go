@@ -20,7 +20,7 @@ func TestDifferential(t *testing.T) {
 	for name, s := range scripts {
 		t.Run(name, func(t *testing.T) {
 			trusttest.Differential(t, func() core.Mechanism {
-				return pagerank.New(pagerank.WithIterations(12))
+				return pagerank.New()
 			}, s)
 		})
 	}

@@ -91,20 +91,12 @@ func Rank(nodes []string, edges map[string]map[string]float64, damping float64, 
 	return rank
 }
 
-// dampingFactor is the Mechanism's damping factor.
-const dampingFactor = 0.85
-
-// Option configures the Mechanism.
-type Option func(*Mechanism)
-
-// WithIterations sets the power-iteration count (default 30).
-func WithIterations(n int) Option {
-	return func(m *Mechanism) {
-		if n > 0 {
-			m.iters = n
-		}
-	}
-}
+// dampingFactor and iterations are the Mechanism's damping factor and
+// power-iteration count.
+const (
+	dampingFactor = 0.85
+	iterations    = 30
+)
 
 // Mechanism adapts PageRank to service reputation: each rating above 0.5
 // adds (or strengthens) a link consumer→service; each service links back to
@@ -113,8 +105,6 @@ func WithIterations(n int) Option {
 // concurrent use. The heavy computation runs in Tick, as fits a
 // batch-recomputed global mechanism.
 type Mechanism struct {
-	iters int
-
 	mu       sync.Mutex
 	edges    map[string]map[string]float64
 	nodes    map[string]bool
@@ -139,18 +129,13 @@ var (
 )
 
 // New builds a PageRank reputation mechanism.
-func New(opts ...Option) *Mechanism {
-	m := &Mechanism{
-		iters:    30,
+func New() *Mechanism {
+	return &Mechanism{
 		edges:    map[string]map[string]float64{},
 		nodes:    map[string]bool{},
 		isTarget: map[string]bool{},
 		counts:   map[core.EntityID]int{},
 	}
-	for _, opt := range opts {
-		opt(m)
-	}
-	return m
 }
 
 // Name implements core.Mechanism.
@@ -203,7 +188,7 @@ func (m *Mechanism) computeLocked() rankState {
 	for v := range m.nodes {
 		nodes = append(nodes, v)
 	}
-	st := rankState{ranks: Rank(nodes, m.edges, dampingFactor, m.iters)}
+	st := rankState{ranks: Rank(nodes, m.edges, dampingFactor, iterations)}
 	for v, r := range st.ranks {
 		if m.isTarget[v] && r > st.maxRank {
 			st.maxRank = r

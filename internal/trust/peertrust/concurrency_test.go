@@ -12,7 +12,7 @@ import (
 // TestConcurrentSubmitScoreReset hammers the PSM/credibility caches
 // from many goroutines; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
-	m := peertrust.New(peertrust.WithAlphaBeta(0.8, 0.2))
+	m := peertrust.New()
 	trusttest.Hammer(t, m)
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),

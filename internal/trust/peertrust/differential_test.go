@@ -9,20 +9,12 @@ import (
 )
 
 // TestDifferential proves the PSM pair cache, per-rater global
-// credibility memo, subject-mean memo and community-factor max are pure
-// memoization: warm and cold instances score byte-identically under
-// fine-grained invalidation.
+// credibility memo and subject-mean memo are pure memoization: warm and
+// cold instances score byte-identically under fine-grained invalidation.
 func TestDifferential(t *testing.T) {
-	configs := map[string][]peertrust.Option{
-		"default":     nil,
-		"community":   {peertrust.WithAlphaBeta(0.7, 0.3)},
-		"low-overlap": {peertrust.WithMinOverlap(1)},
-	}
-	for name, opts := range configs {
-		t.Run(name, func(t *testing.T) {
-			trusttest.Differential(t, func() core.Mechanism {
-				return peertrust.New(opts...)
-			}, trusttest.Market(37, 16, 10, 12, 0.6))
-		})
-	}
+	t.Run("default", func(t *testing.T) {
+		trusttest.Differential(t, func() core.Mechanism {
+			return peertrust.New()
+		}, trusttest.Market(37, 16, 10, 12, 0.6))
+	})
 }

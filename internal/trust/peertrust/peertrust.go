@@ -1,14 +1,15 @@
 // Package peertrust implements PeerTrust (Xiong & Liu [33]): a peer's
 // trust value is the credibility-weighted average of the satisfaction its
-// transactions produced, optionally adjusted by a community-context factor
-// rewarding feedback participation:
+// transactions produced,
 //
-//	T(u) = α · Σᵢ S(u,i)·Cr(p(u,i)) / I(u) + β · CF(u)
+//	T(u) = Σᵢ S(u,i)·Cr(p(u,i)) / Σᵢ Cr(p(u,i))
 //
-// Credibility uses the personalized similarity measure (PSM): an evaluator
-// weighs a rater by how similarly that rater scored the subjects both have
-// rated — feedback from like-scoring peers counts more, which is
-// PeerTrust's defense against badmouthing collectives.
+// PeerTrust's general metric adds a community-context term weighted by β;
+// this implementation runs it with β = 0. Credibility uses the
+// personalized similarity measure (PSM): an evaluator weighs a rater by
+// how similarly that rater scored the subjects both have rated — feedback
+// from like-scoring peers counts more, which is PeerTrust's defense
+// against badmouthing collectives.
 package peertrust
 
 import (
@@ -23,26 +24,6 @@ import (
 
 // Option configures the mechanism.
 type Option func(*Mechanism)
-
-// WithAlphaBeta sets the weights of the satisfaction term and the
-// community-context term (defaults 1 and 0).
-func WithAlphaBeta(alpha, beta float64) Option {
-	return func(m *Mechanism) {
-		if alpha >= 0 && beta >= 0 && alpha+beta > 0 {
-			m.alpha, m.beta = alpha, beta
-		}
-	}
-}
-
-// WithMinOverlap sets the minimum co-rated subjects for a PSM similarity
-// (default 1; PeerTrust degrades gracefully on sparse data).
-func WithMinOverlap(n int) Option {
-	return func(m *Mechanism) {
-		if n > 0 {
-			m.minOverlap = n
-		}
-	}
-}
 
 // WithNetwork attaches a p2p transport; feedback submission and rating
 // gathering are then charged as peer messages, reflecting PeerTrust's
@@ -59,22 +40,16 @@ type rating struct {
 
 // Mechanism is the PeerTrust engine. Safe for concurrent use.
 type Mechanism struct {
-	alpha, beta float64
-	minOverlap  int
-	net         *p2p.Network
+	net *p2p.Network
 
 	mu      sync.Mutex
 	ratings map[core.EntityID][]rating
 	byRater map[core.ConsumerID]map[core.EntityID]float64
-	contrib map[core.ConsumerID]float64
 	joined  map[p2p.NodeID]bool
 
-	// Epoch caches over the local math only — the per-rating charge()
-	// exchanges in Submit and Score always hit the network, so cached and
-	// uncached runs report identical message counts. subEpoch advances on
-	// every submit (contribution totals move each time).
-	subEpoch core.Epoch                                // guarded by mu
-	maxMemo  core.Memo[float64]                        // guarded by mu
+	// Caches over the local math only — the per-rating charge() exchanges
+	// in Submit and Score always hit the network, so cached and uncached
+	// runs report identical message counts.
 	meanMemo core.KeyedMemo[core.EntityID, meanResult] // guarded by mu
 	// gcredMemo caches global (consensus-deviation) credibility per
 	// rater; a rating about s drops every rater of s.
@@ -127,14 +102,10 @@ func (m *Mechanism) MessageCount() int64 {
 // New builds a PeerTrust mechanism.
 func New(opts ...Option) *Mechanism {
 	m := &Mechanism{
-		alpha:      1,
-		beta:       0,
-		minOverlap: 1,
-		ratings:    map[core.EntityID][]rating{},
-		byRater:    map[core.ConsumerID]map[core.EntityID]float64{},
-		contrib:    map[core.ConsumerID]float64{},
-		joined:     map[p2p.NodeID]bool{},
-		psmCache:   map[core.ConsumerID]map[core.ConsumerID]psmResult{},
+		ratings:  map[core.EntityID][]rating{},
+		byRater:  map[core.ConsumerID]map[core.EntityID]float64{},
+		joined:   map[p2p.NodeID]bool{},
+		psmCache: map[core.ConsumerID]map[core.ConsumerID]psmResult{},
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -161,8 +132,6 @@ func (m *Mechanism) Submit(fb core.Feedback) error {
 	}
 	old, existed := row[fb.Service]
 	row[fb.Service] = v
-	m.contrib[fb.Consumer]++
-	m.subEpoch.Bump()
 
 	// Invalidate what this rating can influence: the subject's mean (and
 	// with it the consensus credibility of everyone who rated it), plus —
@@ -190,7 +159,7 @@ func (m *Mechanism) dropPsmLocked(c core.ConsumerID) {
 }
 
 // psm computes the personalized similarity between two raters: 1 − RMS
-// difference over co-rated subjects. ok is false below the overlap minimum.
+// difference over co-rated subjects. ok is false when they share none.
 func (m *Mechanism) psm(a, b core.ConsumerID) (float64, bool) {
 	ra, rb := m.byRater[a], m.byRater[b]
 	if len(ra) == 0 || len(rb) == 0 {
@@ -210,7 +179,7 @@ func (m *Mechanism) psm(a, b core.ConsumerID) (float64, bool) {
 			n++
 		}
 	}
-	if n < m.minOverlap {
+	if n == 0 {
 		return 0, false
 	}
 	return 1 - math.Sqrt(sq/float64(n)), true
@@ -258,13 +227,6 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	score := 0.5
 	if den > 0 {
 		score = num / den
-	}
-	if m.beta > 0 {
-		// Community context factor of the subject's raters: how much the
-		// community participates in feedback overall. Normalized by the
-		// most active rater.
-		cf := m.communityFactor(rs)
-		score = (m.alpha*score + m.beta*cf) / (m.alpha + m.beta)
 	}
 	n := float64(len(rs))
 	return core.TrustValue{
@@ -339,33 +301,6 @@ func (m *Mechanism) subjectMeanCached(subj core.EntityID) (float64, bool) {
 		return meanResult{v, ok}
 	})
 	return r.v, r.ok
-}
-
-// communityFactor scales a score by how broadly its raters contribute.
-//
-//lint:guarded communityFactor runs with m.mu held by Score's locked section
-func (m *Mechanism) communityFactor(rs []rating) float64 {
-	maxC := m.maxMemo.Get(&m.subEpoch, m.maxContribLocked)
-	if maxC == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range rs {
-		sum += m.contrib[r.rater] / maxC
-	}
-	return sum / float64(len(rs))
-}
-
-// maxContribLocked finds the most active rater's contribution count —
-// a max over exact integer counts, so map order cannot change it.
-func (m *Mechanism) maxContribLocked() float64 {
-	var maxC float64
-	for _, c := range m.contrib {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	return maxC
 }
 
 // RaterCredibility exposes the global credibility of a rater, for

@@ -85,36 +85,17 @@ func (m *Mechanism) psmLockedForTest(a, b core.ConsumerID) (float64, bool) {
 	return m.psm(a, b)
 }
 
-func TestCommunityContextFactor(t *testing.T) {
-	base := New()
-	withCF := New(WithAlphaBeta(0.8, 0.2))
-	for _, m := range []*Mechanism{base, withCF} {
-		// Active raters rate s-active; a one-shot rater rates s-quiet the same.
-		for i := 0; i < 10; i++ {
-			_ = m.Submit(fb("busy", core.NewServiceID(i), 0.7))
-		}
-		_ = m.Submit(fb("busy", "s-active", 0.7))
-		_ = m.Submit(fb("oneshot", "s-quiet", 0.7))
-	}
-	a1, _ := withCF.Score(core.Query{Subject: "s-active"})
-	q1, _ := withCF.Score(core.Query{Subject: "s-quiet"})
-	if a1.Score <= q1.Score {
-		t.Fatalf("community factor ignored: active=%g quiet=%g", a1.Score, q1.Score)
-	}
-	// Without the factor the two tie on satisfaction alone.
-	a0, _ := base.Score(core.Query{Subject: "s-active"})
-	q0, _ := base.Score(core.Query{Subject: "s-quiet"})
-	if a0.Score != q0.Score {
-		t.Fatalf("beta=0 still differentiates: %g vs %g", a0.Score, q0.Score)
-	}
-}
-
 func TestMinOverlapDefaultsUnknownRater(t *testing.T) {
-	m := New(WithMinOverlap(5))
+	m := New()
 	seedHonestAndLiars(m)
-	// With overlap 5 nobody qualifies for PSM → everyone gets the default
-	// 0.3 credibility → plain mean.
-	tv, _ := m.Score(core.Query{Perspective: "h1", Subject: "s-victim"})
+	// The newcomer shares no rated subject with anyone, so no rater
+	// qualifies for PSM → everyone gets the default 0.3 credibility →
+	// plain mean.
+	_ = m.Submit(fb("newcomer", "s-elsewhere", 0.5))
+	if _, ok := m.psmLockedForTest("newcomer", "h2"); ok {
+		t.Fatal("PSM computed without a co-rated subject")
+	}
+	tv, _ := m.Score(core.Query{Perspective: "newcomer", Subject: "s-victim"})
 	if tv.Score < 0.5 || tv.Score > 0.7 {
 		t.Fatalf("fallback mean out of band: %g", tv.Score)
 	}

@@ -16,13 +16,6 @@ import (
 	"wstrust/internal/qos"
 )
 
-// Option configures the mechanism.
-type Option func(*Mechanism)
-
-// WithPolicing enables advertised-vs-measured compliance discounting
-// (default on).
-func WithPolicing(on bool) Option { return func(m *Mechanism) { m.policing = on } }
-
 // stats accumulates mean raw values per metric for one service.
 type stats struct {
 	sum   qos.Vector
@@ -65,8 +58,6 @@ func (s *stats) means() qos.Vector {
 
 // Mechanism is the Liu-Ngu-Zeng ranking engine. Safe for concurrent use.
 type Mechanism struct {
-	policing bool
-
 	mu         sync.Mutex
 	services   map[core.ServiceID]*stats
 	advertised map[core.ServiceID]qos.Vector
@@ -88,17 +79,12 @@ type population struct {
 var _ core.Mechanism = (*Mechanism)(nil)
 
 // New builds the mechanism.
-func New(opts ...Option) *Mechanism {
-	m := &Mechanism{
-		policing:   true,
+func New() *Mechanism {
+	return &Mechanism{
 		services:   map[core.ServiceID]*stats{},
 		advertised: map[core.ServiceID]qos.Vector{},
 		prefs:      map[core.ConsumerID]qos.Preferences{},
 	}
-	for _, opt := range opts {
-		opt(m)
-	}
-	return m
 }
 
 // Name implements core.Mechanism.
@@ -219,11 +205,7 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	if q.Perspective != "" {
 		prefs = m.prefs[q.Perspective]
 	}
-	score := prefs.Utility(mine)
-
-	if m.policing {
-		score *= m.compliance(q.Subject, means)
-	}
+	score := prefs.Utility(mine) * m.compliance(q.Subject, means)
 	score = math.Max(0, math.Min(1, score))
 	conf := st.calls / (st.calls + 5)
 	return core.TrustValue{Score: score, Confidence: conf}, true

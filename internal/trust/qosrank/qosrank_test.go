@@ -90,13 +90,13 @@ func TestPolicingPunishesFalseClaims(t *testing.T) {
 	if slow.Score != 0 {
 		t.Fatalf("liar score = %g, want 0 under policing", slow.Score)
 	}
-	// Without policing the liar keeps its measured-QoS score.
-	m2 := New(WithPolicing(false))
+	// Before it advertises anything the same service keeps its
+	// measured-QoS score: only the false claim costs it.
+	m2 := New()
 	seedTwoServices(t, m2)
-	m2.RegisterAdvertised("s-slow", qos.Vector{qos.ResponseTime: 100})
 	slow2, _ := m2.Score(core.Query{Subject: "s-slow"})
 	if slow2.Score <= 0 {
-		t.Fatalf("unpoliced score = %g", slow2.Score)
+		t.Fatalf("score without a claim = %g", slow2.Score)
 	}
 }
 

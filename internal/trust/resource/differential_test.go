@@ -15,16 +15,11 @@ import (
 // wholesale on every submit, since the global prior moves) matches a
 // cold recompute byte-for-byte.
 func TestAmazonDifferential(t *testing.T) {
-	for name, build := range map[string]func() core.Mechanism{
-		"default": func() core.Mechanism { return resource.NewAmazon() },
-		"heavy-prior": func() core.Mechanism {
-			return resource.NewAmazon(resource.WithPriorWeight(8))
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			trusttest.Differential(t, build, trusttest.Market(23, 16, 10, 12, 0.6))
-		})
-	}
+	t.Run("default", func(t *testing.T) {
+		trusttest.Differential(t, func() core.Mechanism {
+			return resource.NewAmazon()
+		}, trusttest.Market(23, 16, 10, 12, 0.6))
+	})
 }
 
 // TestEpinionsDifferential covers the plain Submit/Score path; review

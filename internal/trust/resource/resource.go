@@ -14,13 +14,13 @@ import (
 	"wstrust/internal/core"
 )
 
+// priorWeight is how many pseudo-ratings of the global mean each subject
+// starts with (Bayesian shrinkage strength).
+const priorWeight = 5
+
 // Amazon is the shrunken-mean resource reputation mechanism. Safe for
 // concurrent use.
 type Amazon struct {
-	// priorWeight is how many pseudo-ratings of the global mean each
-	// subject starts with (Bayesian shrinkage strength).
-	priorWeight float64
-
 	mu   sync.Mutex
 	sum  map[core.EntityID]float64
 	n    map[core.EntityID]float64
@@ -41,29 +41,12 @@ type scoreResult struct {
 
 var _ core.Mechanism = (*Amazon)(nil)
 
-// AmazonOption configures Amazon.
-type AmazonOption func(*Amazon)
-
-// WithPriorWeight sets the shrinkage strength (default 5).
-func WithPriorWeight(w float64) AmazonOption {
-	return func(a *Amazon) {
-		if w >= 0 {
-			a.priorWeight = w
-		}
-	}
-}
-
 // NewAmazon builds the mechanism.
-func NewAmazon(opts ...AmazonOption) *Amazon {
-	a := &Amazon{
-		priorWeight: 5,
-		sum:         map[core.EntityID]float64{},
-		n:           map[core.EntityID]float64{},
+func NewAmazon() *Amazon {
+	return &Amazon{
+		sum: map[core.EntityID]float64{},
+		n:   map[core.EntityID]float64{},
 	}
-	for _, opt := range opts {
-		opt(a)
-	}
-	return a
 }
 
 // Name implements core.Mechanism.
@@ -102,8 +85,8 @@ func (a *Amazon) scoreLocked(subject core.EntityID) scoreResult {
 	if a.gN > 0 {
 		prior = a.gSum / a.gN
 	}
-	score := (a.sum[subject] + a.priorWeight*prior) / (n + a.priorWeight)
-	return scoreResult{core.TrustValue{Score: score, Confidence: n / (n + a.priorWeight)}, true}
+	score := (a.sum[subject] + priorWeight*prior) / (n + priorWeight)
+	return scoreResult{core.TrustValue{Score: score, Confidence: n / (n + priorWeight)}, true}
 }
 
 // Epinions weights each rating by its author's helpfulness reputation,

@@ -37,13 +37,16 @@ func TestAmazonShrinkage(t *testing.T) {
 	}
 }
 
-func TestAmazonPlainMeanWithoutPrior(t *testing.T) {
-	a := NewAmazon(WithPriorWeight(0))
+// TestAmazonPriorWeight pins the shrinkage: a subject's ratings are
+// averaged with five pseudo-ratings at the global mean.
+func TestAmazonPriorWeight(t *testing.T) {
+	a := NewAmazon()
 	_ = a.Submit(fb("c001", "s001", 0.8))
 	_ = a.Submit(fb("c002", "s001", 0.6))
+	_ = a.Submit(fb("c003", "s002", 0.1))
 	tv, _ := a.Score(core.Query{Subject: "s001"})
-	if math.Abs(tv.Score-0.7) > 1e-12 {
-		t.Fatalf("mean = %g, want 0.7", tv.Score)
+	if want := (0.8 + 0.6 + 5*0.5) / 7; math.Abs(tv.Score-want) > 1e-12 || tv.Confidence != 2.0/7 {
+		t.Fatalf("s001 = %+v, want score %g confidence 2/7", tv, want)
 	}
 }
 

@@ -15,8 +15,6 @@ func TestDifferential(t *testing.T) {
 	configs := map[string][]sporas.Option{
 		"sporas":       nil,
 		"histos":       {sporas.WithHistos(true)},
-		"histos-deep":  {sporas.WithHistos(true), sporas.WithHistosDepth(4)},
-		"histos-sharp": {sporas.WithHistos(true), sporas.WithSigma(0.1)},
 		"short-memory": {sporas.WithTheta(2)},
 	}
 	for name, opts := range configs {

@@ -36,28 +36,17 @@ func WithTheta(theta float64) Option {
 	}
 }
 
-// WithSigma sets the damping slope σ of Φ (default 0.25).
-func WithSigma(sigma float64) Option {
-	return func(m *Mechanism) {
-		if sigma > 0 {
-			m.sigma = sigma
-		}
-	}
-}
-
 // WithHistos enables Histos personalization: queries carrying a
 // Perspective are answered by the recursive rating-graph walk and fall
 // back to Sporas when no path exists.
 func WithHistos(on bool) Option { return func(m *Mechanism) { m.histos = on } }
 
-// WithHistosDepth bounds the referral recursion (default 3).
-func WithHistosDepth(d int) Option {
-	return func(m *Mechanism) {
-		if d > 0 {
-			m.histosDepth = d
-		}
-	}
-}
+const (
+	// sigma is the damping slope σ of Φ.
+	sigma = 0.25
+	// histosDepth bounds Histos' referral recursion.
+	histosDepth = 3
+)
 
 type sporasState struct {
 	r     float64 // current reputation in [0,1]
@@ -75,10 +64,8 @@ type agrResult struct {
 
 // Mechanism implements Sporas (+ optional Histos). Safe for concurrent use.
 type Mechanism struct {
-	theta       float64
-	sigma       float64
-	histos      bool
-	histosDepth int
+	theta  float64
+	histos bool
 
 	mu    sync.Mutex
 	state map[core.EntityID]*sporasState
@@ -101,12 +88,10 @@ var _ core.Mechanism = (*Mechanism)(nil)
 // New builds a Sporas mechanism.
 func New(opts ...Option) *Mechanism {
 	m := &Mechanism{
-		theta:       10,
-		sigma:       0.25,
-		histosDepth: 3,
-		state:       map[core.EntityID]*sporasState{},
-		latest:      map[core.ConsumerID]map[core.EntityID]float64{},
-		agrCache:    map[core.ConsumerID]map[core.ConsumerID]agrResult{},
+		theta:    10,
+		state:    map[core.EntityID]*sporasState{},
+		latest:   map[core.ConsumerID]map[core.EntityID]float64{},
+		agrCache: map[core.ConsumerID]map[core.ConsumerID]agrResult{},
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -126,7 +111,7 @@ func (m *Mechanism) Name() string {
 // close to 1 for low reputations, approaching 0.5⁻ as R→D so top
 // reputations move slowly.
 func (m *Mechanism) phi(r float64) float64 {
-	return 1 - 1/(1+math.Exp(-(r-1)/m.sigma))
+	return 1 - 1/(1+math.Exp(-(r-1)/sigma))
 }
 
 // Submit implements core.Mechanism: one Sporas update per feedback.
@@ -211,7 +196,7 @@ func (m *Mechanism) histosScore(root core.ConsumerID, subject core.EntityID) (co
 	}
 	visited := map[core.ConsumerID]bool{root: true}
 	frontier := []frontierEntry{{root, 1}}
-	for depth := 0; depth < m.histosDepth; depth++ {
+	for depth := 0; depth < histosDepth; depth++ {
 		var num, den float64
 		var next []frontierEntry
 		for _, fe := range frontier {

@@ -12,7 +12,7 @@ import (
 
 const nPeers = 12
 
-func newMechanism(opts ...xrep.Option) *xrep.Mechanism {
+func newMechanism() *xrep.Mechanism {
 	net := p2p.NewNetwork()
 	consumers := make([]core.ConsumerID, nPeers)
 	nodeIDs := make([]p2p.NodeID, nPeers)
@@ -21,7 +21,7 @@ func newMechanism(opts ...xrep.Option) *xrep.Mechanism {
 		nodeIDs[i] = p2p.NodeID(consumers[i])
 	}
 	ov := p2p.NewRandomOverlay(net, nodeIDs, 3, simclock.NewRand(103))
-	return xrep.New(ov, consumers, opts...)
+	return xrep.New(ov, consumers)
 }
 
 // globalOnly strips perspective queries: polling a perspective floods
@@ -43,17 +43,11 @@ func globalOnly(s trusttest.Script) trusttest.Script {
 // memoization: its integer plus/minus counts cannot depend on map
 // iteration order, so cached and recomputed tallies are bit-identical.
 func TestDifferential(t *testing.T) {
-	configs := map[string][]xrep.Option{
-		"default":   nil,
-		"short-ttl": {xrep.WithTTL(1)},
-	}
-	for name, opts := range configs {
-		t.Run(name, func(t *testing.T) {
-			trusttest.Differential(t, func() core.Mechanism {
-				return newMechanism(opts...)
-			}, globalOnly(trusttest.Market(43, nPeers, 10, 12, 0.6)))
-		})
-	}
+	t.Run("default", func(t *testing.T) {
+		trusttest.Differential(t, func() core.Mechanism {
+			return newMechanism()
+		}, globalOnly(trusttest.Market(43, nPeers, 10, 12, 0.6)))
+	})
 }
 
 // TestConcurrentSubmitScoreReset hammers the tally memo alongside live

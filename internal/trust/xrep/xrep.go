@@ -22,17 +22,8 @@ type vote struct {
 	Good  bool
 }
 
-// Option configures the mechanism.
-type Option func(*Mechanism)
-
-// WithTTL sets the poll flood depth (default 3).
-func WithTTL(ttl int) Option {
-	return func(m *Mechanism) {
-		if ttl > 0 {
-			m.ttl = ttl
-		}
-	}
-}
+// ttl is the poll flood depth.
+const ttl = 3
 
 // localExperience is a node's own verdicts per resource.
 type localExperience struct {
@@ -63,7 +54,6 @@ func (c *credibility) weight(v p2p.NodeID) float64 {
 // Mechanism is the XRep engine. Safe for concurrent use.
 type Mechanism struct {
 	overlay *p2p.Overlay
-	ttl     int
 
 	mu     sync.Mutex
 	local  map[core.ConsumerID]*localExperience
@@ -88,20 +78,16 @@ var (
 )
 
 // New builds the mechanism over an overlay, joining one node per consumer.
-func New(overlay *p2p.Overlay, consumers []core.ConsumerID, opts ...Option) *Mechanism {
+func New(overlay *p2p.Overlay, consumers []core.ConsumerID) *Mechanism {
 	if overlay == nil {
 		panic("xrep: nil overlay")
 	}
 	m := &Mechanism{
 		overlay:  overlay,
-		ttl:      3,
 		local:    map[core.ConsumerID]*localExperience{},
 		cred:     map[core.ConsumerID]*credibility{},
 		counts:   map[core.EntityID]float64{},
 		lastPoll: map[pollKey][]vote{},
-	}
-	for _, opt := range opts {
-		opt(m)
 	}
 	for _, c := range consumers {
 		m.ensureNode(c)
@@ -190,7 +176,7 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	m.ensureNode(q.Perspective)
 
 	var votes []vote
-	m.overlay.Flood(p2p.NodeID(q.Perspective), m.ttl, "xr.poll", q.Subject,
+	m.overlay.Flood(p2p.NodeID(q.Perspective), ttl, "xr.poll", q.Subject,
 		func(peer p2p.NodeID, reply any) {
 			if good, ok := reply.(bool); ok {
 				votes = append(votes, vote{Voter: peer, Good: good})

@@ -8,7 +8,7 @@ import (
 	"wstrust/internal/simclock"
 )
 
-func newMech(t *testing.T, n int, opts ...Option) (*Mechanism, []core.ConsumerID) {
+func newMech(t *testing.T, n int) (*Mechanism, []core.ConsumerID) {
 	t.Helper()
 	net := p2p.NewNetwork()
 	cs := make([]core.ConsumerID, n)
@@ -18,7 +18,7 @@ func newMech(t *testing.T, n int, opts ...Option) (*Mechanism, []core.ConsumerID
 		ids[i] = p2p.NodeID(cs[i])
 	}
 	overlay := p2p.NewRandomOverlay(net, ids, 4, simclock.NewRand(7))
-	return New(overlay, cs, opts...), cs
+	return New(overlay, cs), cs
 }
 
 func fb(c core.ConsumerID, s core.ServiceID, v float64) core.Feedback {
@@ -115,7 +115,7 @@ func TestUnknownInvalidReset(t *testing.T) {
 }
 
 func TestTTLLimitsPollReach(t *testing.T) {
-	// Ring overlay: with TTL 1 only direct neighbours answer.
+	// Ring overlay: the TTL-3 poll reaches peers up to 3 hops away.
 	net := p2p.NewNetwork()
 	cs := make([]core.ConsumerID, 8)
 	ids := make([]p2p.NodeID, 8)
@@ -124,7 +124,7 @@ func TestTTLLimitsPollReach(t *testing.T) {
 		ids[i] = p2p.NodeID(cs[i])
 	}
 	overlay := p2p.NewRandomOverlay(net, ids, 2, simclock.NewRand(1))
-	m := New(overlay, cs, WithTTL(1))
+	m := New(overlay, cs)
 	// Far witness (4 hops) has experience.
 	_ = m.Submit(fb(cs[4], "s-far", 1))
 	tv, ok := m.Score(core.Query{Perspective: cs[0], Subject: "s-far"})
@@ -132,6 +132,10 @@ func TestTTLLimitsPollReach(t *testing.T) {
 		t.Fatal("known subject reported unknown")
 	}
 	if tv.Confidence != 0 {
-		t.Fatalf("TTL-1 poll reached a 4-hop witness: %+v", tv)
+		t.Fatalf("TTL-3 poll reached a 4-hop witness: %+v", tv)
+	}
+	_ = m.Submit(fb(cs[3], "s-reach", 1))
+	if tv, _ := m.Score(core.Query{Perspective: cs[0], Subject: "s-reach"}); tv.Confidence == 0 {
+		t.Fatalf("TTL-3 poll missed a 3-hop witness: %+v", tv)
 	}
 }

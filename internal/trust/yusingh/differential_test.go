@@ -12,7 +12,7 @@ import (
 
 const nAgents = 12
 
-func newMechanism(opts ...yusingh.Option) *yusingh.Mechanism {
+func newMechanism() *yusingh.Mechanism {
 	net := p2p.NewNetwork()
 	consumers := make([]core.ConsumerID, nAgents)
 	nodeIDs := make([]p2p.NodeID, nAgents)
@@ -21,14 +21,14 @@ func newMechanism(opts ...yusingh.Option) *yusingh.Mechanism {
 		nodeIDs[i] = p2p.NodeID(consumers[i])
 	}
 	ov := p2p.NewRandomOverlay(net, nodeIDs, 3, simclock.NewRand(101))
-	return yusingh.New(ov, consumers, opts...)
+	return yusingh.New(ov, consumers)
 }
 
 // globalOnly strips perspective queries: witness walks route referrals
-// over the live overlay (charging messages, creating agents, possibly
-// adding shortcuts), so a warm instance that has answered more queries
-// legitimately diverges from a cold one. Only the global Dempster-Shafer
-// fuse is memoized, and only it must be bit-identical.
+// over the live overlay (charging messages, creating agents), so a warm
+// instance that has answered more queries legitimately diverges from a
+// cold one. Only the global Dempster-Shafer fuse is memoized, and only it
+// must be bit-identical.
 func globalOnly(s trusttest.Script) trusttest.Script {
 	qs := s.Queries[:0:0]
 	for _, q := range s.Queries {
@@ -43,23 +43,17 @@ func globalOnly(s trusttest.Script) trusttest.Script {
 // TestDifferential proves the global-fuse memo and agent-roster cache
 // are pure memoization over the local evidence masses.
 func TestDifferential(t *testing.T) {
-	configs := map[string][]yusingh.Option{
-		"default": nil,
-		"shallow": {yusingh.WithDepth(1)},
-	}
-	for name, opts := range configs {
-		t.Run(name, func(t *testing.T) {
-			trusttest.Differential(t, func() core.Mechanism {
-				return newMechanism(opts...)
-			}, globalOnly(trusttest.Market(41, nAgents, 10, 12, 0.6)))
-		})
-	}
+	t.Run("default", func(t *testing.T) {
+		trusttest.Differential(t, func() core.Mechanism {
+			return newMechanism()
+		}, globalOnly(trusttest.Market(41, nAgents, 10, 12, 0.6)))
+	})
 }
 
 // TestConcurrentSubmitScoreReset hammers the fuse memo alongside live
 // witness walks from many goroutines; run with -race.
 func TestConcurrentSubmitScoreReset(t *testing.T) {
-	m := newMechanism(yusingh.WithAdaptiveReferrals(4))
+	m := newMechanism()
 	trusttest.Hammer(t, m)
 	if err := m.Submit(core.Feedback{
 		Consumer: core.NewConsumerID(0), Service: core.NewServiceID(0),

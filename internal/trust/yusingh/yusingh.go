@@ -8,6 +8,8 @@
 // the gathered testimonies are fused with Dempster's rule of combination,
 // discounted per referral hop.
 //
+// Referrals follow the overlay's edges; agents do not add the witnesses
+// they reach as new acquaintances (Yolum & Singh's network adaptation).
 // All witness traffic travels over the p2p network, so experiments measure
 // the referral protocol's real message cost.
 package yusingh
@@ -77,49 +79,15 @@ func (m Mass) TrustValue() core.TrustValue {
 	return core.TrustValue{Score: m.T + 0.5*m.U, Confidence: 1 - m.U}.Clamp()
 }
 
-// Option configures the mechanism.
-type Option func(*Mechanism)
-
-// WithDepth sets the maximum referral depth (default 3).
-func WithDepth(d int) Option {
-	return func(m *Mechanism) {
-		if d > 0 {
-			m.depth = d
-		}
-	}
-}
-
-// WithReferralDiscount sets the per-hop testimony discount (default 0.7).
-func WithReferralDiscount(w float64) Option {
-	return func(m *Mechanism) {
-		if w > 0 && w <= 1 {
-			m.hopDiscount = w
-		}
-	}
-}
-
-// WithLocalSufficiency sets how many direct interactions make an agent
-// skip the witness query entirely (default 10).
-func WithLocalSufficiency(n int) Option {
-	return func(m *Mechanism) {
-		if n > 0 {
-			m.sufficiency = n
-		}
-	}
-}
-
-// WithAdaptiveReferrals enables the referral-network adaptation of Yolum &
-// Singh [34]: when a referral query reaches a useful witness, the querying
-// agent remembers up to maxShortcuts of them as direct acquaintances, so
-// later queries reach testimony in fewer hops (and with less hop
-// discounting). Zero disables adaptation (the default).
-func WithAdaptiveReferrals(maxShortcuts int) Option {
-	return func(m *Mechanism) {
-		if maxShortcuts >= 0 {
-			m.maxShortcuts = maxShortcuts
-		}
-	}
-}
+const (
+	// depth is the maximum referral depth.
+	depth = 3
+	// hopDiscount is the per-hop testimony discount.
+	hopDiscount = 0.7
+	// sufficiency is how many direct interactions make an agent skip the
+	// witness query entirely.
+	sufficiency = 10
+)
 
 // agentState is one consumer agent's private experience.
 type agentState struct {
@@ -153,16 +121,11 @@ func (a *agentState) evidenceCount(subject core.EntityID) float64 {
 
 // Mechanism is the referral-network trust engine. Safe for concurrent use.
 type Mechanism struct {
-	overlay      *p2p.Overlay
-	depth        int
-	hopDiscount  float64
-	sufficiency  int
-	maxShortcuts int
+	overlay *p2p.Overlay
 
-	mu        sync.Mutex
-	agents    map[core.ConsumerID]*agentState
-	counts    map[core.EntityID]float64
-	shortcuts map[core.ConsumerID][]p2p.NodeID
+	mu     sync.Mutex
+	agents map[core.ConsumerID]*agentState
+	counts map[core.EntityID]float64
 
 	// Global-fuse caches (local math only — witness queries always travel
 	// the network): the sorted agent roster changes only when an agent is
@@ -181,21 +144,14 @@ var (
 // consumer and joining it to the network. Consumers not listed may still
 // submit; their agents are created lazily but start with no neighbours
 // (they can testify when queried by id, not via the overlay).
-func New(overlay *p2p.Overlay, consumers []core.ConsumerID, opts ...Option) *Mechanism {
+func New(overlay *p2p.Overlay, consumers []core.ConsumerID) *Mechanism {
 	if overlay == nil {
 		panic("yusingh: nil overlay")
 	}
 	m := &Mechanism{
-		overlay:     overlay,
-		depth:       3,
-		hopDiscount: 0.7,
-		sufficiency: 10,
-		agents:      map[core.ConsumerID]*agentState{},
-		counts:      map[core.EntityID]float64{},
-		shortcuts:   map[core.ConsumerID][]p2p.NodeID{},
-	}
-	for _, opt := range opts {
-		opt(m)
+		overlay: overlay,
+		agents:  map[core.ConsumerID]*agentState{},
+		counts:  map[core.EntityID]float64{},
 	}
 	for _, c := range consumers {
 		m.ensureAgent(c)
@@ -261,7 +217,7 @@ func (m *Mechanism) Score(q core.Query) (core.TrustValue, bool) {
 	}
 	ag := m.ensureAgent(q.Perspective)
 	direct, hasDirect := ag.mass(q.Subject)
-	if hasDirect && ag.evidenceCount(q.Subject) >= float64(m.sufficiency) {
+	if hasDirect && ag.evidenceCount(q.Subject) >= sufficiency {
 		return direct.TrustValue(), true
 	}
 	fused := direct
@@ -283,12 +239,11 @@ func (m *Mechanism) witnessTestimonies(origin core.ConsumerID, subject core.Enti
 	visited := map[p2p.NodeID]bool{originNode: true}
 	frontier := []p2p.NodeID{originNode}
 	var out []Mass
-	discount := m.hopDiscount
-	for depth := 0; depth < m.depth && len(frontier) > 0; depth++ {
+	discount := hopDiscount
+	for hop := 0; hop < depth && len(frontier) > 0; hop++ {
 		var next []p2p.NodeID
 		for _, at := range frontier {
-			nbs := m.neighborsOf(at)
-			for _, nb := range nbs {
+			for _, nb := range m.overlay.Neighbors(at) { // sorted by ID
 				if visited[nb] {
 					continue
 				}
@@ -300,58 +255,12 @@ func (m *Mechanism) witnessTestimonies(origin core.ConsumerID, subject core.Enti
 				next = append(next, nb)
 				if mass, ok := reply.(Mass); ok {
 					out = append(out, Discount(mass, discount))
-					if depth > 0 {
-						// Adaptation [34]: remember the distant witness as a
-						// direct acquaintance for future queries.
-						m.addShortcut(origin, nb)
-					}
 				}
 			}
 		}
 		frontier = next
-		discount *= m.hopDiscount
+		discount *= hopDiscount
 	}
-	return out
-}
-
-// neighborsOf merges overlay neighbours with the agent's learned shortcuts,
-// sorted for determinism.
-func (m *Mechanism) neighborsOf(at p2p.NodeID) []p2p.NodeID {
-	nbs := m.overlay.Neighbors(at)
-	m.mu.Lock()
-	nbs = append(nbs, m.shortcuts[core.ConsumerID(at)]...)
-	m.mu.Unlock()
-	sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
-	return nbs
-}
-
-// addShortcut records a useful witness as a direct acquaintance, bounded
-// by the adaptation budget.
-func (m *Mechanism) addShortcut(owner core.ConsumerID, witness p2p.NodeID) {
-	if m.maxShortcuts <= 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	have := m.shortcuts[owner]
-	for _, w := range have {
-		if w == witness {
-			return
-		}
-	}
-	if len(have) >= m.maxShortcuts {
-		return
-	}
-	m.shortcuts[owner] = append(have, witness)
-}
-
-// Shortcuts reports the learned acquaintances of an agent, for tests and
-// diagnostics.
-func (m *Mechanism) Shortcuts(owner core.ConsumerID) []p2p.NodeID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]p2p.NodeID, len(m.shortcuts[owner]))
-	copy(out, m.shortcuts[owner])
 	return out
 }
 

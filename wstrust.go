@@ -28,7 +28,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"wstrust/internal/core"
@@ -87,53 +86,46 @@ const (
 	Cost         = qos.Cost
 )
 
+// mechanisms are the self-contained centralized mechanisms NewMechanism
+// builds, sorted by name.
+var mechanisms = []struct {
+	name  string
+	build func() Mechanism
+}{
+	{"amazon", func() Mechanism { return resource.NewAmazon() }},
+	{"beta", func() Mechanism { return beta.New() }},
+	{"beta-personalized", func() Mechanism { return beta.New(beta.WithPersonalized(true)) }},
+	{"cf-cosine", func() Mechanism { return cf.New(cf.WithSimilarity(cf.Cosine)) }},
+	{"cf-pearson", func() Mechanism { return cf.New() }},
+	{"ebay", func() Mechanism { return ebay.New() }},
+	{"epinions", func() Mechanism { return resource.NewEpinions() }},
+	{"filter-cluster", func() Mechanism { return filtering.New(filtering.Cluster) }},
+	{"filter-majority", func() Mechanism { return filtering.New(filtering.Majority) }},
+	{"filter-zhang-cohen", func() Mechanism { return filtering.New(filtering.ZhangCohen) }},
+	{"histos", func() Mechanism { return sporas.New(sporas.WithHistos(true)) }},
+	{"pagerank", func() Mechanism { return pagerank.New() }},
+	{"sporas", func() Mechanism { return sporas.New() }},
+}
+
 // NewMechanism builds one of the self-contained centralized mechanisms by
-// name: "beta", "beta-personalized", "ebay", "sporas", "histos",
-// "pagerank", "amazon", "epinions", "cf-pearson", "cf-cosine",
-// "filter-majority", "filter-cluster", "filter-zhang-cohen".
-// Decentralized mechanisms need overlays/grids; build those directly from
-// the internal packages (see examples/p2pmarket).
+// a name MechanismNames lists. Decentralized mechanisms need
+// overlays/grids; build those directly from the internal packages (see
+// examples/p2pmarket).
 func NewMechanism(name string) (Mechanism, error) {
-	switch name {
-	case "beta":
-		return beta.New(), nil
-	case "beta-personalized":
-		return beta.New(beta.WithPersonalized(true)), nil
-	case "ebay":
-		return ebay.New(), nil
-	case "sporas":
-		return sporas.New(), nil
-	case "histos":
-		return sporas.New(sporas.WithHistos(true)), nil
-	case "pagerank":
-		return pagerank.New(), nil
-	case "amazon":
-		return resource.NewAmazon(), nil
-	case "epinions":
-		return resource.NewEpinions(), nil
-	case "cf-pearson":
-		return cf.New(), nil
-	case "cf-cosine":
-		return cf.New(cf.WithSimilarity(cf.Cosine)), nil
-	case "filter-majority":
-		return filtering.New(filtering.Majority), nil
-	case "filter-cluster":
-		return filtering.New(filtering.Cluster), nil
-	case "filter-zhang-cohen":
-		return filtering.New(filtering.ZhangCohen), nil
-	default:
-		return nil, fmt.Errorf("wstrust: unknown mechanism %q", name)
+	for _, m := range mechanisms {
+		if m.name == name {
+			return m.build(), nil
+		}
 	}
+	return nil, fmt.Errorf("wstrust: unknown mechanism %q", name)
 }
 
 // MechanismNames lists the names NewMechanism accepts, sorted.
 func MechanismNames() []string {
-	names := []string{
-		"beta", "beta-personalized", "ebay", "sporas", "histos", "pagerank",
-		"amazon", "epinions", "cf-pearson", "cf-cosine",
-		"filter-majority", "filter-cluster", "filter-zhang-cohen",
+	names := make([]string, len(mechanisms))
+	for i, m := range mechanisms {
+		names[i] = m.name
 	}
-	sort.Strings(names)
 	return names
 }
 

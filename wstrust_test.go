@@ -7,6 +7,11 @@ import (
 )
 
 func TestNewMechanismNames(t *testing.T) {
+	want := "amazon beta beta-personalized cf-cosine cf-pearson ebay epinions " +
+		"filter-cluster filter-majority filter-zhang-cohen histos pagerank sporas"
+	if got := strings.Join(MechanismNames(), " "); got != want {
+		t.Fatalf("MechanismNames() = %s, want %s", got, want)
+	}
 	for _, name := range MechanismNames() {
 		m, err := NewMechanism(name)
 		if err != nil {
